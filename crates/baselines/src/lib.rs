@@ -11,11 +11,6 @@
 //! | R-GCN \[37\] | knowledge-graph GNN autoencoder | [`rgcn`] |
 //! | SimplE \[17\] | knowledge-graph bilinear | [`simple_e`] |
 //!
-//! Two *extensions* beyond the paper's comparison set — the classic
-//! translational KG models its related-work section (§V) discusses — are
-//! also provided: TransE \[3\] ([`trans_e`]) and RotatE \[40\]
-//! ([`rotate`]).
-//!
 //! Every method implements [`EmbeddingMethod`], producing a
 //! [`transn_graph::NodeEmbeddings`] table over the global node ids, so the
 //! evaluation protocols treat all methods (and TransN itself) uniformly.
@@ -34,9 +29,7 @@ pub mod method;
 pub mod mve;
 pub mod node2vec;
 pub mod rgcn;
-pub mod rotate;
 pub mod simple_e;
-pub mod trans_e;
 
 pub use hin2vec::Hin2Vec;
 pub use line::Line;
@@ -45,6 +38,4 @@ pub use method::EmbeddingMethod;
 pub use mve::Mve;
 pub use node2vec::Node2Vec;
 pub use rgcn::Rgcn;
-pub use rotate::RotatE;
 pub use simple_e::SimplE;
-pub use trans_e::TransE;

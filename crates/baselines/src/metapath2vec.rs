@@ -6,9 +6,7 @@
 use crate::method::EmbeddingMethod;
 use transn_graph::{HetNet, NodeEmbeddings};
 use transn_rng::Rng;
-use transn_sgns::{
-    train_epoch_episodic, EpisodicState, NoiseMode, Parallelism, SgnsConfig, SgnsModel,
-};
+use transn_sgns::{train_epoch_episodic, EpisodicState, Parallelism, SgnsConfig, SgnsModel};
 use transn_walks::{EpisodeConfig, MetapathWalker, WalkConfig};
 
 /// Metapath2Vec configuration.
@@ -96,7 +94,6 @@ impl EmbeddingMethod for Metapath2Vec {
                     walker.generate_task_range_into(&tasks, range, self.walks_per_node, arena)
                 },
                 &sgns_cfg(epoch as u64),
-                NoiseMode::Global,
                 &mut state,
             );
         }

@@ -12,9 +12,7 @@
 use crate::method::EmbeddingMethod;
 use transn_graph::{HetNet, NodeEmbeddings};
 use transn_rng::Rng;
-use transn_sgns::{
-    train_epoch_episodic, EpisodicState, NoiseMode, Parallelism, SgnsConfig, SgnsModel,
-};
+use transn_sgns::{train_epoch_episodic, EpisodicState, Parallelism, SgnsConfig, SgnsModel};
 use transn_walks::{EpisodeConfig, Node2VecWalker, WalkConfig};
 
 /// MVE configuration.
@@ -113,7 +111,6 @@ impl EmbeddingMethod for Mve {
                         walker.generate_task_range_into(&tasks, range, self.walks_per_node, arena)
                     },
                     &cfg,
-                    NoiseMode::Global,
                     &mut episodic,
                 );
             }

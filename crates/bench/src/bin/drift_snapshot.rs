@@ -17,7 +17,9 @@
 //! advantage is the warm start, which needs `INC_ITERS` instead of
 //! `FULL_ITERS` iterations. `cpus` is recorded for context: on a 1-core
 //! host the speedup is purely algorithmic (fewer iterations, fewer views
-//! walked), not concurrency.
+//! walked), not concurrency. Each round times each arm once, so the
+//! per-round means carry `reps` = K and the `[min, max]` spread over the
+//! rounds; the base training is one rep.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -249,6 +251,15 @@ fn main() {
     let all: Vec<&Round> = rounds.iter().collect();
     let mean_full_ns = mean(&|r| r.full_ns, &all);
     let mean_inc_ns = mean(&|r| r.inc_ns, &all);
+    let spread = |f: &dyn Fn(&Round) -> f64| -> String {
+        let (lo, hi) = rounds
+            .iter()
+            .map(f)
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), x| {
+                (lo.min(x), hi.max(x))
+            });
+        format!("[{lo:.0}, {hi:.0}]")
+    };
     let time_ratio = mean_inc_ns / mean_full_ns;
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -288,19 +299,24 @@ fn main() {
          insertions vs sampled compatible non-edges; KK view is never touched by the stream, \
          so each round's dirty set is {{UU, UK}}\",\n  \
          \"full_iterations\": {FULL_ITERS}, \"incremental_iterations\": {INC_ITERS},\n  \
-         \"base\": {{\"nodes\": {}, \"edges\": {}, \"train_ns\": {base_train_ns:.0}}},\n  \
+         \"base\": {{\"nodes\": {}, \"edges\": {}, \"train_ns\": {base_train_ns:.0}, \"reps\": 1}},\n  \
          \"rounds\": [\n{}\n  ],\n  \
          \"acceptance\": {{\n    \
          \"k_rounds\": {}, \"mean_auc_full\": {mean_auc_full:.4}, \
          \"mean_auc_incremental\": {mean_auc_inc:.4},\n    \
          \"auc_ratio\": {auc_ratio:.4}, \"auc_ratio_target\": 0.97, \"auc_pass\": {},\n    \
-         \"mean_full_retrain_ns\": {mean_full_ns:.0}, \"mean_incremental_ns\": {mean_inc_ns:.0},\n    \
+         \"mean_full_retrain_ns\": {mean_full_ns:.0}, \"full_retrain_ns_spread\": {}, \
+         \"mean_incremental_ns\": {mean_inc_ns:.0}, \"incremental_ns_spread\": {}, \
+         \"reps\": {},\n    \
          \"time_ratio\": {time_ratio:.4}, \"time_ratio_target\": 0.5, \"time_pass\": {}\n  }}\n}}\n",
         stream.base.num_nodes(),
         stream.base.num_edges(),
         round_json.join(",\n"),
         rounds.len(),
         auc_ratio >= 0.97,
+        spread(&|r| r.full_ns),
+        spread(&|r| r.inc_ns),
+        rounds.len(),
         time_ratio < 0.5,
     );
     std::fs::write(&out, &json).expect("write BENCH_drift.json");

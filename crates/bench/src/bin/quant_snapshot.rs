@@ -1,13 +1,15 @@
 //! Self-timing serving snapshot: batched top-k through the f32 and i8
-//! store formats, brute scan and HNSW traversal, on the 32k tier and the
-//! commerce-mid tier (≈ 432k nodes), writing `BENCH_quant.json`. The f32
-//! rows are the exact brute-force and HNSW baselines; CI gates the i8
-//! rows at the 32k tier: i8 brute ≥ 2× f32 brute queries/s at recall@10
-//! ≥ 0.95 with reranking enabled, and i8 scan-resident bytes ≤ 0.35× the
-//! f32 store. CI also gates f32 HNSW recall@10 ≥ 0.95 at both tiers.
+//! store formats by brute scan, and through HNSW over the f32 rows, on the
+//! 32k tier and the commerce-mid tier (≈ 432k nodes), writing
+//! `BENCH_quant.json`. The f32 rows are the exact brute-force and HNSW
+//! baselines; CI gates the i8 rows at the 32k tier: i8 brute ≥ 2× f32
+//! brute queries/s at recall@10 ≥ 0.95 with reranking enabled, and i8
+//! scan-resident bytes ≤ 0.35× the f32 store. CI also gates f32 HNSW
+//! recall@10 ≥ 0.95 at both tiers.
 //!
 //! Like the other snapshot binaries: plain `Instant` timing, best-of-N
-//! batches, hand-assembled JSON.
+//! batches, hand-assembled JSON. Every timed number carries its `reps`
+//! and the `[min, max]` spread over them; `cpus` is recorded per tier.
 
 use std::time::Instant;
 use transn_graph::NodeEmbeddings;
@@ -27,6 +29,8 @@ const K: usize = 10;
 const RERANK_K: usize = 40;
 /// Queries sampled for the recall check against the exact f32 oracle.
 const RECALL_QUERIES: usize = 64;
+/// Alternating f32/i8 batch pairs behind the 32k acceptance ratio.
+const PAIRED_REPS: usize = 5;
 
 /// The commerce-mid tier's node count, derived from the same synth config
 /// the pipeline benchmarks use (≈ 432k nodes).
@@ -50,30 +54,75 @@ fn clustered(n: usize, dim: usize, clusters: usize) -> NodeEmbeddings {
     NodeEmbeddings::from_flat(n, dim, data)
 }
 
-/// Best-of-3 wall time for one full query batch, in seconds.
-fn time_batch<F: FnMut()>(mut f: F) -> f64 {
-    f(); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
+/// Wall times of `reps` runs, in seconds (or any other per-rep figure).
+struct Spread {
+    min: f64,
+    max: f64,
+    reps: usize,
 }
 
-/// p50/p99 single-query latency in milliseconds: every query timed
-/// individually, single-threaded.
-fn latency_ms<F: FnMut(usize)>(n: usize, mut f: F) -> (f64, f64) {
-    let mut times: Vec<f64> = (0..n)
-        .map(|q| {
-            let start = Instant::now();
-            f(q);
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+impl Spread {
+    fn new() -> Spread {
+        Spread {
+            min: f64::INFINITY,
+            max: 0.0,
+            reps: 0,
+        }
+    }
+
+    fn add(&mut self, x: f64) {
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
+        self.reps += 1;
+    }
+
+    fn of(reps: usize, mut f: impl FnMut()) -> Spread {
+        let mut s = Spread::new();
+        for _ in 0..reps {
+            s.add(secs(&mut f));
+        }
+        s
+    }
+
+    /// Best-of-`reps` query throughput over a batch of `QUERIES`, with its
+    /// spread and rep count, as JSON members.
+    fn qps_json(&self) -> String {
+        let q = QUERIES as f64;
+        format!(
+            "\"queries_per_s\": {:.1}, \"queries_per_s_spread\": [{:.1}, {:.1}], \"reps\": {}",
+            q / self.min,
+            q / self.max,
+            q / self.min,
+            self.reps
+        )
+    }
+}
+
+/// Wall time of one run of `f`, in seconds.
+fn secs(mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
+}
+
+/// Best-of-3 wall time for one full query batch, after a warmup.
+fn time_batch<F: FnMut()>(mut f: F) -> Spread {
+    f();
+    Spread::of(3, f)
+}
+
+/// Single-query latency in milliseconds, every query timed individually
+/// and single-threaded: `{p50, p99, min, max, reps}` as a JSON object.
+fn latency_json<F: FnMut(usize)>(n: usize, mut f: F) -> String {
+    let mut times: Vec<f64> = (0..n).map(|q| secs(|| f(q)) * 1e3).collect();
     times.sort_by(f64::total_cmp);
-    (times[n / 2], times[(n * 99) / 100])
+    format!(
+        "{{\"p50\": {:.4}, \"p99\": {:.4}, \"min\": {:.4}, \"max\": {:.4}, \"reps\": {n}}}",
+        times[n / 2],
+        times[(n * 99) / 100],
+        times[0],
+        times[n - 1]
+    )
 }
 
 fn mean_recall(exact: &[Vec<Neighbor>], approx: &[Vec<Neighbor>]) -> f64 {
@@ -105,12 +154,11 @@ struct FormatResult {
     bytes_ratio: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One store format's brute-scan rows; the f32 format also times `hnsw`.
 fn run_format(
     name: &str,
     store: &EmbStore,
-    hnsw: &HnswIndex,
-    ef: usize,
+    hnsw: Option<&HnswIndex>,
     queries: &[&[f32]],
     exclude: &[Option<u32>],
     exact: &[Vec<Neighbor>],
@@ -140,40 +188,41 @@ fn run_format(
         let secs = time_batch(|| {
             std::hint::black_box(batch_top_k(brute, queries, K, exclude, par));
         });
-        let qps = QUERIES as f64 / secs;
-        eprintln!("n={n} {name} brute threads={threads}: {qps:.0} queries/s");
-        per_threads.push(format!("\"{threads}\": {{\"queries_per_s\": {qps:.1}}}"));
+        eprintln!(
+            "n={n} {name} brute threads={threads}: {:.0} queries/s",
+            QUERIES as f64 / secs.min
+        );
+        per_threads.push(format!("\"{threads}\": {{{}}}", secs.qps_json()));
     }
-    let (bp50, bp99) = latency_ms(QUERIES, |q| {
+    let brute_latency = latency_json(QUERIES, |q| {
         std::hint::black_box(brute.top_k(queries[q], K, exclude[q]));
     });
+    eprintln!("n={n} {name}: brute recall@{K} {brute_recall:.4} latency {brute_latency}");
 
-    // The quantized HNSW path is per-query; time the f32 path the same
-    // way so the column compares like with like.
-    let hnsw_query = |q: usize| -> Vec<Neighbor> {
-        if store.quant_kind().is_none() {
-            hnsw.top_k(queries[q], K, exclude[q])
-        } else {
-            hnsw.top_k_quant(store, queries[q], K, ef, exclude[q])
-        }
-    };
-    let hnsw_recall = mean_recall(
-        exact,
-        &(0..RECALL_QUERIES).map(&hnsw_query).collect::<Vec<_>>(),
-    );
-    let secs = time_batch(|| {
-        for q in 0..QUERIES {
-            std::hint::black_box(hnsw_query(q));
-        }
+    // HNSW throughput: one thread, one query at a time.
+    let hnsw_json = hnsw.map_or(String::new(), |hnsw| {
+        let approx: Vec<_> = (0..RECALL_QUERIES)
+            .map(|q| hnsw.top_k(queries[q], K, exclude[q]))
+            .collect();
+        let hnsw_recall = mean_recall(exact, &approx);
+        let secs = time_batch(|| {
+            for q in 0..QUERIES {
+                std::hint::black_box(hnsw.top_k(queries[q], K, exclude[q]));
+            }
+        });
+        let latency = latency_json(QUERIES, |q| {
+            std::hint::black_box(hnsw.top_k(queries[q], K, exclude[q]));
+        });
+        eprintln!(
+            "n={n} {name}: hnsw {:.0} queries/s recall@{K} {hnsw_recall:.4}",
+            QUERIES as f64 / secs.min
+        );
+        format!(
+            ",\n          \"hnsw\": {{\"recall_at_{K}\": {hnsw_recall:.4}, \
+             \"latency_ms\": {latency}, {}}}",
+            secs.qps_json()
+        )
     });
-    let hnsw_qps = QUERIES as f64 / secs;
-    let (hp50, hp99) = latency_ms(QUERIES, |q| {
-        std::hint::black_box(hnsw_query(q));
-    });
-    eprintln!(
-        "n={n} {name}: brute recall@{K} {brute_recall:.4} p50 {bp50:.3}ms p99 {bp99:.3}ms | \
-         hnsw {hnsw_qps:.0} queries/s recall@{K} {hnsw_recall:.4}"
-    );
 
     let bytes = store.scan_bytes();
     let bytes_ratio = bytes as f64 / f32_scan_bytes as f64;
@@ -181,11 +230,8 @@ fn run_format(
         "        \"{name}\": {{\n          \
          \"resident_bytes\": {bytes}, \"bytes_ratio\": {bytes_ratio:.4},\n          \
          \"brute\": {{\"recall_at_{K}\": {brute_recall:.4}, \
-         \"latency_ms\": {{\"p50\": {bp50:.4}, \"p99\": {bp99:.4}}}, \
-         \"threads\": {{{}}}}},\n          \
-         \"hnsw\": {{\"recall_at_{K}\": {hnsw_recall:.4}, \
-         \"latency_ms\": {{\"p50\": {hp50:.4}, \"p99\": {hp99:.4}}}, \
-         \"queries_per_s\": {hnsw_qps:.1}}}\n        }}",
+         \"latency_ms\": {brute_latency}, \
+         \"threads\": {{{}}}}}{hnsw_json}\n        }}",
         per_threads.join(", ")
     );
     FormatResult {
@@ -196,13 +242,17 @@ fn run_format(
 }
 
 fn main() {
-    let tiers = [("32k", 32_768usize), ("commerce-mid", commerce_mid_nodes())];
+    // Builds are repeated where they are short; one build at commerce-mid.
+    let tiers = [
+        ("32k", 32_768usize, 3),
+        ("commerce-mid", commerce_mid_nodes(), 1),
+    ];
     let mut sections: Vec<String> = Vec::new();
     let mut acceptance = String::new();
     // The HNSW build runs on every core, so `hnsw_build_s` needs the count.
     let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
 
-    for (tier, n) in tiers {
+    for (tier, n, build_reps) in tiers {
         let emb = clustered(n, DIM, 32);
         let query_ids: Vec<u32> = (0..QUERIES as u32).map(|q| (q * 127) % n as u32).collect();
         let queries: Vec<&[f32]> = query_ids
@@ -216,11 +266,15 @@ fn main() {
             ef_search: 128,
             ..HnswConfig::default()
         };
-        let ef = cfg.ef_search;
-        let t0 = Instant::now();
-        let hnsw = HnswIndex::build(&emb, Metric::Cosine, cfg);
-        let build_s = t0.elapsed().as_secs_f64();
-        eprintln!("{tier}: built HNSW over {n} vectors in {build_s:.2}s");
+        let mut hnsw = None;
+        let build = Spread::of(build_reps, || {
+            hnsw = Some(HnswIndex::build(&emb, Metric::Cosine, cfg));
+        });
+        let hnsw = hnsw.expect("at least one build");
+        eprintln!(
+            "{tier}: built HNSW over {n} vectors in {:.2}s (best of {build_reps})",
+            build.min
+        );
 
         // Exact f32 oracle for every recall column.
         let exact_brute = BruteForceIndex::new(&emb, Metric::Cosine);
@@ -235,22 +289,18 @@ fn main() {
         let f32_store = write_store(&emb, None, tier);
         let i8_store = write_store(&emb, Some(QuantKind::I8), &format!("{tier}-i8"));
         let f32_scan = f32_store.scan_bytes();
-        let mut formats: Vec<String> = Vec::new();
-        let mut i8_result = None;
-        let mut f32_result = None;
-        for (name, store) in [("f32", &f32_store), ("i8", &i8_store)] {
-            let r = run_format(name, store, &hnsw, ef, &queries, &exclude, &exact, f32_scan);
-            formats.push(r.json.clone());
-            match name {
-                "f32" => f32_result = Some(r),
-                "i8" => i8_result = Some(r),
-                _ => {}
-            }
-        }
+        let f32r = run_format(
+            "f32",
+            &f32_store,
+            Some(&hnsw),
+            &queries,
+            &exclude,
+            &exact,
+            f32_scan,
+        );
+        let i8r = run_format("i8", &i8_store, None, &queries, &exclude, &exact, f32_scan);
 
         if tier == "32k" {
-            let f32r = f32_result.as_ref().unwrap();
-            let i8r = i8_result.as_ref().unwrap();
             // The acceptance ratio is measured *paired*: the two engines
             // alternate inside one window, so slow host-speed drift (a
             // shared, throttling box) hits both sides instead of landing
@@ -261,41 +311,56 @@ fn main() {
             let par = Parallelism::strict(1);
             std::hint::black_box(batch_top_k(&bf, &queries, K, &exclude, par));
             std::hint::black_box(batch_top_k(&qi, &queries, K, &exclude, par));
-            let (mut f32_secs, mut i8_secs) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..5 {
-                let t = Instant::now();
-                std::hint::black_box(batch_top_k(&bf, &queries, K, &exclude, par));
-                f32_secs = f32_secs.min(t.elapsed().as_secs_f64());
-                let t = Instant::now();
-                std::hint::black_box(batch_top_k(&qi, &queries, K, &exclude, par));
-                i8_secs = i8_secs.min(t.elapsed().as_secs_f64());
+            let (mut f32_t, mut i8_t, mut ratio) = (Spread::new(), Spread::new(), Spread::new());
+            for _ in 0..PAIRED_REPS {
+                let f32_secs = secs(|| {
+                    std::hint::black_box(batch_top_k(&bf, &queries, K, &exclude, par));
+                });
+                let i8_secs = secs(|| {
+                    std::hint::black_box(batch_top_k(&qi, &queries, K, &exclude, par));
+                });
+                f32_t.add(f32_secs);
+                i8_t.add(i8_secs);
+                ratio.add(f32_secs / i8_secs);
             }
-            let speedup = f32_secs / i8_secs;
+            let qps = |secs: f64| QUERIES as f64 / secs;
+            let speedup = f32_t.min / i8_t.min;
             eprintln!(
                 "{tier}: i8/f32 brute single-thread speedup {speedup:.2}x \
-                 (paired: f32 {:.0} q/s, i8 {:.0} q/s), \
+                 (paired: f32 {:.0} q/s, i8 {:.0} q/s; per pair {:.2}-{:.2}x), \
                  i8 recall@{K} {:.4}, i8 bytes ratio {:.4}",
-                QUERIES as f64 / f32_secs,
-                QUERIES as f64 / i8_secs,
+                qps(f32_t.min),
+                qps(i8_t.min),
+                ratio.min,
+                ratio.max,
                 i8r.brute_recall,
                 i8r.bytes_ratio
             );
             acceptance = format!(
                 "  \"acceptance_32k\": {{\"i8_brute_speedup_1t\": {speedup:.3}, \
-                 \"paired_f32_qps\": {:.1}, \"paired_i8_qps\": {:.1}, \
+                 \"i8_brute_speedup_1t_spread\": [{:.3}, {:.3}], \
+                 \"paired_f32_qps\": {:.1}, \"paired_f32_qps_spread\": [{:.1}, {:.1}], \
+                 \"paired_i8_qps\": {:.1}, \"paired_i8_qps_spread\": [{:.1}, {:.1}], \
+                 \"paired_reps\": {PAIRED_REPS}, \
                  \"i8_recall_at_{K}\": {:.4}, \"i8_bytes_ratio\": {:.4}}},\n",
-                QUERIES as f64 / f32_secs,
-                QUERIES as f64 / i8_secs,
+                ratio.min,
+                ratio.max,
+                qps(f32_t.min),
+                qps(f32_t.max),
+                qps(f32_t.min),
+                qps(i8_t.min),
+                qps(i8_t.max),
+                qps(i8_t.min),
                 i8r.brute_recall,
                 i8r.bytes_ratio
             );
-            let _ = f32r;
         }
 
         sections.push(format!(
-            "    \"{tier}\": {{\n      \"n\": {n}, \"hnsw_build_s\": {build_s:.3}, \"cpus\": {cpus},\n      \
-             \"formats\": {{\n{}\n      }}\n    }}",
-            formats.join(",\n")
+            "    \"{tier}\": {{\n      \"n\": {n}, \"hnsw_build_s\": {:.3}, \
+             \"hnsw_build_s_spread\": [{:.3}, {:.3}], \"hnsw_build_reps\": {build_reps}, \
+             \"cpus\": {cpus},\n      \"formats\": {{\n{},\n{}\n      }}\n    }}",
+            build.min, build.min, build.max, f32r.json, i8r.json
         ));
     }
 

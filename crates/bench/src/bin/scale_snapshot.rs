@@ -2,9 +2,9 @@
 //! acceptance numbers and writes `BENCH_scale.json` so the trajectory is
 //! recorded in-repo.
 //!
-//! Like `pipeline_snapshot`: plain `std::time::Instant` timing and
-//! hand-assembled JSON. `scripts/bench_snapshot.sh`
-//! is the entry point; pass `--dev` for a ~100×-smaller sanity run.
+//! Plain `std::time::Instant` timing and hand-assembled JSON.
+//! `scripts/bench_snapshot.sh` is the entry point; pass `--dev` for a
+//! ~100×-smaller sanity run.
 //!
 //! ## Phase processes
 //!
@@ -29,7 +29,9 @@
 //!   classify pipeline on the commerce `dev` (43k nodes) and `million`
 //!   (1.0M nodes) tiers.
 //! * `pipeline-400k` — the PR 7 reference workload (one episodic
-//!   double-buffered training epoch over the 400k-user BLOG UK view);
+//!   double-buffered training epoch over the 400k-user BLOG UK view,
+//!   under the one stream schedule: an exact-frequency generation
+//!   pre-pass, then a second generation pass that feeds the episodes);
 //!   its `VmHWM` is the peak-RSS envelope the million-node pipeline is
 //!   held to.
 //!
@@ -48,9 +50,7 @@ use transn_eval::{classification_scores, ClassifyProtocol, LogisticRegression};
 use transn_graph::{build_batch_with, Csr, Parallelism};
 use transn_nn::kernels;
 use transn_rng::Rng;
-use transn_sgns::{
-    train_epoch_episodic, EpisodicState, NoiseMode, NoiseTable, SgnsConfig, SgnsModel,
-};
+use transn_sgns::{train_epoch_episodic, EpisodicState, NoiseTable, SgnsConfig, SgnsModel};
 use transn_synth::{blog_like, commerce_like, BlogConfig, CommerceConfig, Dataset};
 use transn_walks::{CorrelatedWalker, EpisodeConfig, WalkConfig};
 
@@ -467,9 +467,10 @@ fn run_commerce_pipeline(cfg: &CommerceConfig) {
 }
 
 /// The PR 7 reference workload: one episodic double-buffered training
-/// epoch over the BLOG UK view (the `overlap_on` row of
-/// `BENCH_pipeline.json`). Its peak RSS is the envelope the million-node
-/// pipeline is held to.
+/// epoch over the BLOG UK view. The schedule's exact-frequency pre-pass
+/// keeps one episode arena resident beside the two in flight, and
+/// generates every walk twice. Its peak RSS is the envelope the
+/// million-node pipeline is held to.
 fn run_blog_reference(blog: &BlogConfig, episode_walks: usize) {
     let t = Instant::now();
     let ds = blog_like(blog, 5);
@@ -517,7 +518,6 @@ fn run_blog_reference(blog: &BlogConfig, episode_walks: usize) {
         |i| tasks[i].1,
         |range, arena| walker.generate_task_range_into(&tasks, range, arena),
         &cfg,
-        NoiseMode::Streaming,
         &mut state,
     );
     let train_ns = t.elapsed().as_nanos() as f64;

@@ -1,7 +1,7 @@
 //! Zero-allocation assertion for the warmed **episodic** training loop.
 //!
 //! ISSUE 7's satellite: once the episodic state is warmed — the episode
-//! plan, the arena pool, the Global-mode pre-pass arena, the frequency
+//! plan, the arena pool, the pre-pass arena, the frequency
 //! accumulator, the in-place-rebuilt noise table, and the pair scratch —
 //! a full epoch of `train_epoch_episodic` performs **zero** heap
 //! allocations, including the per-epoch noise-table rebuild. This is what
@@ -24,9 +24,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use transn_rng::Rng;
-use transn_sgns::{
-    train_epoch_episodic, EpisodicState, NoiseMode, Parallelism, SgnsConfig, SgnsModel,
-};
+use transn_sgns::{train_epoch_episodic, EpisodicState, Parallelism, SgnsConfig, SgnsModel};
 use transn_synth::{blog_like, BlogConfig};
 use transn_walks::{CorrelatedWalker, EpisodeConfig, WalkConfig};
 
@@ -140,7 +138,6 @@ fn warmed_epoch_allocs(
             |i| tasks[i].1,
             |range, arena| walker.generate_task_range_into(&tasks, range, arena),
             &sgns_cfg,
-            NoiseMode::Global,
             state,
         )
     };

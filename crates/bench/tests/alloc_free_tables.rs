@@ -3,8 +3,8 @@
 //! ISSUE 8's scratch-reuse satellite: once an [`AliasTable`] (with its
 //! [`AliasScratch`]) and a [`NoiseTable`] (with its [`NoiseScratch`]) have
 //! been warmed to their support size, rebuilding them — the operation the
-//! sharded batch builders run per table and the streaming episodic mode
-//! runs per episode — must perform **zero** heap allocations.
+//! sharded batch builders run per table and episodic training runs per
+//! epoch — must perform **zero** heap allocations.
 //!
 //! This file contains a single test on purpose: the harness runs tests in
 //! one process, and any concurrently-running test would pollute the global

@@ -6,7 +6,11 @@ use transn_eval::{auc_for_embeddings, classification_scores, ClassifyProtocol, L
 use transn_graph::io;
 use transn_graph::{EdgeTypeId, HetNet, NodeEmbeddings, NodeId};
 
-const USAGE: &str = "usage:
+/// Every subcommand's entry, one `transn <command>` line plus indented
+/// continuation lines. It is also the parser's spec: a command accepts
+/// exactly the flags its entry lists, and a flag written `[--name]` or
+/// `--name)` takes no value (see [`Args::parse`]).
+pub const USAGE: &str = "usage:
   transn generate <aminer|blog|app-daily|app-weekly> --out DIR [--seed N] [--tiny]
   transn train --net FILE --out FILE [--dim N] [--iterations N] [--seed N] [--variant NAME]
                [--threads N] [--strict-determinism] [--episode-walks N] [--episodes-in-flight N]
@@ -20,26 +24,39 @@ const USAGE: &str = "usage:
                [--index brute|hnsw|quant] [--rerank-k N] [--threads N]
   transn ingest --net FILE --delta FILE --out FILE [--threads N]
   transn refresh --net FILE --delta FILE --embeddings FILE --out FILE [--out-net FILE]
-                 [--iterations N] [--seed N] [--threads N] [--strict-determinism]
-                 [--episode-walks N] [--episodes-in-flight N]";
+                 [--iterations N] [--seed N] [--variant NAME] [--threads N]
+                 [--strict-determinism] [--episode-walks N] [--episodes-in-flight N]";
 
-/// Dispatch a parsed command line.
+/// `command`'s entry in [`USAGE`], if it has one.
+fn usage_entry(command: &str) -> Option<&'static str> {
+    let head = format!("\n  transn {command} ");
+    let start = USAGE.find(&head)? + 1;
+    let end = USAGE[start..]
+        .find("\n  transn ")
+        .map_or(USAGE.len(), |e| start + e);
+    Some(USAGE[start..end].trim())
+}
+
+/// Dispatch a command line whose first word is the command.
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv);
-    match args.pos(0) {
-        Some("generate") => generate(&args),
-        Some("train") => train(&args),
-        Some("classify") => classify(&args),
-        Some("linkpred") => linkpred(&args),
-        Some("stats") => stats(&args),
-        Some("neighbors") => neighbors(&args),
-        Some("serve-build") => serve_build(&args),
-        Some("query") => query(&args),
-        Some("ingest") => ingest(&args),
-        Some("refresh") => refresh_cmd(&args),
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
-        None => Err(USAGE.to_string()),
-    }
+    let Some(command) = argv.first() else {
+        return Err(USAGE.to_string());
+    };
+    let handler: fn(&Args) -> Result<(), String> = match command.as_str() {
+        "generate" => generate,
+        "train" => train,
+        "classify" => classify,
+        "linkpred" => linkpred,
+        "stats" => stats,
+        "neighbors" => neighbors,
+        "serve-build" => serve_build,
+        "query" => query,
+        "ingest" => ingest,
+        "refresh" => refresh_cmd,
+        _ => return Err(format!("unknown command {command:?}\n{USAGE}")),
+    };
+    let usage = usage_entry(command).ok_or_else(|| format!("no usage entry for {command:?}"))?;
+    handler(&Args::parse(argv, usage)?)
 }
 
 fn generate(args: &Args) -> Result<(), String> {
@@ -269,6 +286,8 @@ fn stats(args: &Args) -> Result<(), String> {
 }
 
 fn neighbors(args: &Args) -> Result<(), String> {
+    use transn_serve::{BruteForceIndex, EmbeddingIndex, Metric};
+
     let emb = NodeEmbeddings::read_tsv(
         std::fs::File::open(args.require("embeddings")?).map_err(|e| e.to_string())?,
     )
@@ -278,14 +297,12 @@ fn neighbors(args: &Args) -> Result<(), String> {
     if node as usize >= emb.num_nodes() {
         return Err(format!("node {node} out of range (0..{})", emb.num_nodes()));
     }
-    let mut sims: Vec<(u32, f32)> = (0..emb.num_nodes() as u32)
-        .filter(|&i| i != node)
-        .map(|i| (i, emb.cosine(NodeId(node), NodeId(i))))
-        .collect();
-    sims.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    // The exact index `query --index brute` ranks with: score descending,
+    // then id ascending, a total order even over NaN scores.
+    let index = BruteForceIndex::new(&emb, Metric::Cosine);
     println!("nearest neighbours of node {node} (cosine):");
-    for (i, s) in sims.into_iter().take(top) {
-        println!("  {i:>8}  {s:+.4}");
+    for n in index.top_k(emb.get(NodeId(node)), top, Some(node)) {
+        println!("  {:>8}  {:+.4}", n.id, n.score);
     }
     Ok(())
 }
@@ -481,6 +498,32 @@ mod tests {
         run(&cmd.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
+    /// `s` parsed against `train`'s usage entry.
+    fn parse(s: &str) -> Args {
+        let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
+        Args::parse(&argv, usage_entry("train").unwrap()).unwrap()
+    }
+
+    #[test]
+    fn usage_entries_split_per_command() {
+        let entry = usage_entry("refresh").unwrap();
+        assert!(entry.starts_with("transn refresh --net FILE"), "{entry}");
+        assert!(entry.ends_with("[--episodes-in-flight N]"), "{entry}");
+        assert!(entry.contains("[--variant NAME]"), "{entry}");
+        let entry = usage_entry("query").unwrap();
+        assert!(!entry.contains("transn ingest"), "{entry}");
+        assert!(usage_entry("serve").is_none());
+    }
+
+    #[test]
+    fn flags_outside_the_commands_entry_are_rejected() {
+        let err = run_str("train --net x.tsv --out y.tsv --dimm 4").unwrap_err();
+        assert_eq!(err, "unknown flag --dimm");
+        // `--iterations` is a train flag, not a linkpred one.
+        let err = run_str("linkpred --net x.tsv --iterations 1").unwrap_err();
+        assert_eq!(err, "unknown flag --iterations");
+    }
+
     #[test]
     fn unknown_command_shows_usage() {
         let err = run_str("frobnicate").unwrap_err();
@@ -495,8 +538,6 @@ mod tests {
 
     #[test]
     fn parallelism_flags() {
-        let parse =
-            |s: &str| Args::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>());
         assert_eq!(
             parse_parallelism(&parse("train")).unwrap(),
             Parallelism::hogwild(1)
@@ -515,8 +556,6 @@ mod tests {
 
     #[test]
     fn episode_flags() {
-        let parse =
-            |s: &str| Args::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>());
         let defaults = parse_episode(&parse("train")).unwrap();
         assert_eq!(defaults.episode_walks, 0);
         assert_eq!(defaults.episodes_in_flight, 2);

@@ -1,22 +1,8 @@
 //! `transn` — command-line front end for the TransN reproduction.
 //!
-//! ```text
-//! transn generate <aminer|blog|app-daily|app-weekly> --out DIR [--seed N] [--tiny]
-//! transn train --net FILE --out FILE [--dim N] [--iterations N] [--seed N] [--variant NAME]
-//!              [--threads N] [--strict-determinism] [--episode-walks N] [--episodes-in-flight N]
-//! transn classify --embeddings FILE --labels FILE [--repeats N]
-//! transn linkpred --net FILE [--dim N] [--remove FRAC] [--seed N] [--threads N]
-//!                 [--strict-determinism] [--episode-walks N] [--episodes-in-flight N]
-//! transn stats --net FILE [--labels FILE]
-//! transn neighbors --embeddings FILE --node ID [--top K]
-//! transn serve-build --embeddings FILE --out FILE [--quant f32|i8]
-//! transn query --store FILE (--node ID | --all) [--top K] [--metric dot|cosine]
-//!              [--index brute|hnsw|quant] [--rerank-k N] [--threads N]
-//! transn ingest --net FILE --delta FILE --out FILE [--threads N]
-//! transn refresh --net FILE --delta FILE --embeddings FILE --out FILE [--out-net FILE]
-//!                [--iterations N] [--seed N] [--threads N] [--strict-determinism]
-//!                [--episode-walks N] [--episodes-in-flight N]
-//! ```
+//! The subcommands and their flags are listed once, in `commands::USAGE`
+//! (printed when `transn` runs without arguments). Each command accepts
+//! exactly the flags its entry lists; any other flag exits 2.
 
 mod args;
 mod commands;

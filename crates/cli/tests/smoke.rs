@@ -532,3 +532,120 @@ fn malformed_store_fails_with_typed_root_cause() {
     let err = stderr(&out);
     assert!(err.contains("truncated"), "{err}");
 }
+
+/// Every command rejects a flag its usage entry does not list, and the
+/// arity its entry gives, before any I/O: the paths here do not exist.
+#[test]
+fn unknown_flags_and_wrong_arity_exit_2_before_io() {
+    let commands: [&[&str]; 10] = [
+        &["generate", "aminer", "--out", "missing-dir"],
+        &["train", "--net", "missing.tsv", "--out", "out.tsv"],
+        &[
+            "classify",
+            "--embeddings",
+            "missing.tsv",
+            "--labels",
+            "l.tsv",
+        ],
+        &["linkpred", "--net", "missing.tsv"],
+        &["stats", "--net", "missing.tsv"],
+        &["neighbors", "--embeddings", "missing.tsv", "--node", "0"],
+        &["serve-build", "--embeddings", "missing.tsv", "--out", "o"],
+        &["query", "--store", "missing.store", "--node", "0"],
+        &["ingest", "--net", "n", "--delta", "d", "--out", "o"],
+        &[
+            "refresh",
+            "--net",
+            "n",
+            "--delta",
+            "d",
+            "--embeddings",
+            "e",
+            "--out",
+            "o",
+        ],
+    ];
+    for base in commands {
+        let mut args = base.to_vec();
+        args.extend(["--dimm", "4"]);
+        let out = transn(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("error: unknown flag --dimm"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    let train = ["train", "--net", "missing.tsv", "--out", "out.tsv"];
+    for (extra, needle) in [
+        (
+            &["--strict-determinism", "yes"][..],
+            "--strict-determinism takes no value",
+        ),
+        (&["--dim"], "--dim needs a value"),
+        (&["--dim", "--strict-determinism"], "--dim needs a value"),
+    ] {
+        let args: Vec<&str> = train.iter().chain(extra).copied().collect();
+        let out = transn(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+    // `refresh` reads `--variant`: it passes the flag check and fails on
+    // the missing network instead.
+    let mut args = commands[9].to_vec();
+    args.extend(["--variant", "full"]);
+    let err = stderr(&transn(&args));
+    assert!(!err.contains("unknown flag"), "{err}");
+    assert!(err.contains("error:"), "{err}");
+}
+
+#[test]
+fn neighbors_ranks_like_the_brute_force_query() {
+    let scratch = Scratch::new("neighbors");
+    // A NaN coordinate makes every cosine against row 2 NaN; the ranking
+    // must still be total.
+    let nan = scratch.path("nan.tsv");
+    fs::write(
+        &nan,
+        "# transn embeddings v1 nodes=4 dim=2\n\
+         0\t1\t0\n\
+         1\t0.5\t0.5\n\
+         2\tNaN\t1\n\
+         3\t-1\t0.25\n",
+    )
+    .unwrap();
+    let out = transn(&["neighbors", "--embeddings", &nan, "--node", "0"]);
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.status.success(), "{err}");
+
+    let emb = scratch.path("emb.tsv");
+    let store = scratch.path("emb.store");
+    write_toy_embeddings(&emb);
+    let out = transn(&["serve-build", "--embeddings", &emb, "--out", &store]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let ids = |out: &Output, field: usize| -> Vec<String> {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter_map(|l| l.split_whitespace().nth(field).map(String::from))
+            .filter(|id| id.parse::<u32>().is_ok())
+            .collect()
+    };
+    let neighbors = transn(&[
+        "neighbors",
+        "--embeddings",
+        &emb,
+        "--node",
+        "3",
+        "--top",
+        "6",
+    ]);
+    assert!(neighbors.status.success(), "{}", stderr(&neighbors));
+    let query = transn(&["query", "--store", &store, "--node", "3", "--top", "6"]);
+    assert!(query.status.success(), "{}", stderr(&query));
+    let got = ids(&neighbors, 0);
+    assert_eq!(got.len(), 6, "{got:?}");
+    assert_eq!(got, ids(&query, 1));
+}

@@ -317,17 +317,6 @@ impl CrossPair {
         self.last_segments
     }
 
-    /// Translate an `L×d` embedding matrix from view `i`'s space to view
-    /// `j`'s (inference helper; `L` must equal `cfg.cross_len`).
-    pub fn translate_i_to_j(&self, a: &Matrix) -> Matrix {
-        self.t_ij.forward(a).0
-    }
-
-    /// Translate from view `j`'s space to view `i`'s.
-    pub fn translate_j_to_i(&self, a: &Matrix) -> Matrix {
-        self.t_ji.forward(a).0
-    }
-
     /// One iteration of the cross-view algorithm for this pair
     /// (Algorithm 1 lines 8–12), taking the two views directly. Convenience
     /// wrapper over [`CrossPair::train_iteration_slots`].
@@ -669,7 +658,7 @@ mod tests {
             .map(|&u| v1.local(NodeId(u)).unwrap())
             .collect();
         let a = gather(&sv0.model, &src, cfg.dim);
-        let translated = cp.translate_i_to_j(&a);
+        let translated = cp.t_ij.forward(&a).0;
         let target = gather(&sv1.model, &dst, cfg.dim);
 
         let cos = |a: &[f32], b: &[f32]| {

@@ -56,13 +56,6 @@ impl RefreshPlan {
         RefreshPlan { dirty }
     }
 
-    /// A plan with every view dirty (refresh degenerates to full retrain).
-    pub fn all_dirty(num_edge_types: usize) -> RefreshPlan {
-        RefreshPlan {
-            dirty: vec![true; num_edge_types],
-        }
-    }
-
     /// Number of dirty views.
     pub fn num_dirty(&self) -> usize {
         self.dirty.iter().filter(|&&d| d).count()

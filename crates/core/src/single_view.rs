@@ -4,9 +4,7 @@
 use crate::config::TransNConfig;
 use transn_graph::View;
 use transn_rng::Rng;
-use transn_sgns::{
-    train_epoch_episodic, window_for_view, EpisodicState, NoiseMode, SgnsConfig, SgnsModel,
-};
+use transn_sgns::{train_epoch_episodic, window_for_view, EpisodicState, SgnsConfig, SgnsModel};
 use transn_walks::{CorrelatedWalker, SimpleWalker, WalkConfig};
 
 /// One view of the network together with its view-specific embedding model
@@ -59,8 +57,8 @@ impl SingleView {
 
     /// One iteration of the single-view algorithm (Algorithm 1 lines 3–7):
     /// sample a fresh corpus and run one SGNS pass over it, cut into
-    /// `cfg.episode` episodes (DESIGN.md §13). Global noise mode keeps the
-    /// noise distribution and lr schedule exact, so Strict runs are
+    /// `cfg.episode` episodes (DESIGN.md §13). The noise distribution and
+    /// lr schedule are exact corpus-wide values, so Strict runs are
     /// bit-identical for any episode size. Returns the mean skip-gram pair
     /// loss.
     pub fn train_iteration(&mut self, cfg: &TransNConfig, iteration: usize) -> f32 {
@@ -96,7 +94,6 @@ impl SingleView {
                 |i| tasks[i].1,
                 |range, arena| walker.generate_task_range_into(tasks, range, arena),
                 &sgns_cfg,
-                NoiseMode::Global,
                 &mut self.episodic,
             )
         } else {
@@ -114,7 +111,6 @@ impl SingleView {
                 |_| 1,
                 |range, arena| walker.generate_task_range_into(tasks, range, arena),
                 &sgns_cfg,
-                NoiseMode::Global,
                 &mut self.episodic,
             )
         }

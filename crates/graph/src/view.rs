@@ -41,13 +41,9 @@ pub struct View {
 }
 
 impl View {
-    /// Extract the view of edge type `etype` from `net` (Definition 2).
-    pub fn from_network(net: &HetNet, etype: EdgeTypeId) -> Self {
-        Self::from_network_with(net, etype, Parallelism::single())
-    }
-
-    /// [`View::from_network`] with an explicit thread policy for the local
-    /// CSR construction (bit-identical output for every `par`).
+    /// Extract the view of edge type `etype` from `net` (Definition 2),
+    /// with an explicit thread policy for the local CSR construction
+    /// (bit-identical output for every `par`).
     pub fn from_network_with(net: &HetNet, etype: EdgeTypeId, par: Parallelism) -> Self {
         let mut globals: Vec<NodeId> = Vec::new();
         for e in net.edges().iter().filter(|e| e.etype == etype) {

@@ -488,20 +488,6 @@ impl Translator {
             enc.ff.b.zero_grad();
         }
     }
-
-    /// Sum of squared parameter values (diagnostic).
-    #[must_use]
-    pub fn param_norm_sq(&self) -> f32 {
-        self.encoders
-            .iter()
-            .map(|e| {
-                let w = e.ff.w.value();
-                let b = e.ff.b.value();
-                w.data().iter().map(|x| x * x).sum::<f32>()
-                    + b.data().iter().map(|x| x * x).sum::<f32>()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -156,17 +156,6 @@ impl Workspace {
         self.check(cache.gen);
         &self.stages[cache.depth - 1].out
     }
-
-    /// The output matrix of the single-feed-forward pass identified by
-    /// `cache`.
-    ///
-    /// # Panics
-    /// Panics if `cache` is not the workspace's most recent forward pass.
-    #[must_use]
-    pub fn ff_output(&self, cache: &FfWsCache) -> &Matrix {
-        self.check(cache.gen);
-        &self.stages[0].out
-    }
 }
 
 #[cfg(test)]

@@ -29,8 +29,6 @@
 use crate::index::{
     metric_score, neighbor_cmp, EmbeddingIndex, Metric, Neighbor, TopK, VectorSource,
 };
-use crate::quant::{i8_zterm, QuantQuery};
-use crate::store::EmbStore;
 use std::collections::BTreeMap;
 use transn_graph::{run_shards_build, Parallelism};
 use transn_nn::kernels;
@@ -214,18 +212,12 @@ impl HnswIndex {
 
     /// Greedy single-step descent on one layer: repeatedly hop to the best
     /// neighbor until no neighbor improves the score.
-    fn greedy(&self, query: &[f32], q_norm: f32, cur: u32, layer: usize) -> u32 {
-        self.greedy_with(&mut |id| self.score(query, q_norm, id), cur, layer)
-    }
-
-    /// [`HnswIndex::greedy`] with an arbitrary node scorer — the hook the
-    /// quantized traversal rides through with the i8 scan score.
-    fn greedy_with(&self, score: &mut dyn FnMut(u32) -> f32, mut cur: u32, layer: usize) -> u32 {
-        let mut cur_score = score(cur);
+    fn greedy(&self, query: &[f32], q_norm: f32, mut cur: u32, layer: usize) -> u32 {
+        let mut cur_score = self.score(query, q_norm, cur);
         loop {
             let mut improved = false;
             for &nb in &self.links[cur as usize][layer] {
-                let s = score(nb);
+                let s = self.score(query, q_norm, nb);
                 if neighbor_cmp(
                     &Neighbor { id: nb, score: s },
                     &Neighbor {
@@ -255,18 +247,6 @@ impl HnswIndex {
         ef: usize,
         layer: usize,
     ) -> Vec<Neighbor> {
-        self.search_layer_with(&mut |id| self.score(query, q_norm, id), entries, ef, layer)
-    }
-
-    /// [`HnswIndex::search_layer`] with an arbitrary node scorer (see
-    /// [`HnswIndex::greedy_with`]).
-    fn search_layer_with(
-        &self,
-        score: &mut dyn FnMut(u32) -> f32,
-        entries: &[u32],
-        ef: usize,
-        layer: usize,
-    ) -> Vec<Neighbor> {
         let mut visited = vec![false; self.links.len()];
         // Frontier ordered best-first via sorted Vec used as a stack of
         // the best unexpanded candidate (binary-heap order on Reverse of
@@ -279,7 +259,7 @@ impl HnswIndex {
                 continue;
             }
             visited[e as usize] = true;
-            let s = score(e);
+            let s = self.score(query, q_norm, e);
             let nb = Neighbor { id: e, score: s };
             frontier.push(FrontierEntry(nb));
             best.push(nb);
@@ -297,7 +277,7 @@ impl HnswIndex {
                     continue;
                 }
                 visited[nb as usize] = true;
-                let s = score(nb);
+                let s = self.score(query, q_norm, nb);
                 let cand = Neighbor { id: nb, score: s };
                 let keep = match best.threshold() {
                     None => true,
@@ -435,111 +415,6 @@ impl HnswIndex {
         kept.extend(rejected.into_iter().take(cap - kept.len()));
         kept
     }
-
-    /// The configuration the index was built with.
-    pub fn config(&self) -> &HnswConfig {
-        &self.cfg
-    }
-
-    /// Top-k with an explicit beam width (`ef ≥ k` recommended).
-    pub fn top_k_ef(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        exclude: Option<u32>,
-    ) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        if self.links.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let q_norm = self.q_norm(query);
-        let mut cur = self.entry;
-        for layer in (1..=self.max_layer).rev() {
-            cur = self.greedy(query, q_norm, cur, layer);
-        }
-        // Over-fetch by one so an excluded id cannot shrink the result.
-        let ef = ef.max(k + 1);
-        let mut found = self.search_layer(query, q_norm, &[cur], ef, 0);
-        if let Some(ex) = exclude {
-            found.retain(|c| c.id != ex);
-        }
-        found.truncate(k);
-        found
-    }
-
-    /// Top-k traversing the graph with **quantized** scores: every node
-    /// visited during descent and beam search is scored against `store`'s
-    /// i8 codes with the symmetric integer score the quantized brute
-    /// index uses, touching the 4×-smaller code section instead of the
-    /// f32 payload. The final beam (≤ `ef` nodes) is rescored exactly
-    /// against the f32 rows and sorted under [`neighbor_cmp`], so the
-    /// returned set carries exact scores in the exact total order.
-    ///
-    /// The graph itself must have been built over the same rows the
-    /// store holds (quantization changes which nodes the beam *visits*,
-    /// not the links).
-    ///
-    /// # Panics
-    /// Panics if the store has no quantized section or its shape differs
-    /// from the index.
-    pub fn top_k_quant(
-        &self,
-        store: &EmbStore,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        exclude: Option<u32>,
-    ) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        assert_eq!(
-            store.num_nodes(),
-            self.links.len(),
-            "store/index node count mismatch"
-        );
-        assert!(
-            store.quant_kind().is_some(),
-            "top_k_quant needs a v2 store with a quantized section"
-        );
-        if self.links.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let q_norm = self.q_norm(query);
-        // Quantize the query once; each visited row then costs one integer
-        // code dot and code sum plus the brute scan's fixed f32 affine.
-        let qq = QuantQuery::new(query);
-        let mut approx = |id: u32| -> f32 {
-            let i = id as usize;
-            let codes = store.qrow_i8(i);
-            let p = store.qparams(i);
-            let zterm = i8_zterm(p, kernels::sum_i8(codes), self.dim);
-            let raw = qq.raw(p, zterm, kernels::dot_i8_i8(&qq.codes, codes));
-            metric_score(raw, self.metric, q_norm, self.row_norm(id))
-        };
-        let mut cur = self.entry;
-        for layer in (1..=self.max_layer).rev() {
-            cur = self.greedy_with(&mut approx, cur, layer);
-        }
-        let ef = ef.max(k + 1);
-        let found = self.search_layer_with(&mut approx, &[cur], ef, 0);
-        // Exact rescore of the beam against the store's f32 rows.
-        let mut exact: Vec<Neighbor> = found
-            .into_iter()
-            .filter(|c| exclude != Some(c.id))
-            .map(|c| Neighbor {
-                id: c.id,
-                score: metric_score(
-                    kernels::dot(query, store.row(c.id as usize)),
-                    self.metric,
-                    q_norm,
-                    self.row_norm(c.id),
-                ),
-            })
-            .collect();
-        exact.sort_by(neighbor_cmp);
-        exact.truncate(k);
-        exact
-    }
 }
 
 /// Frontier ordering: pops the *best* candidate first (max-heap on the
@@ -564,8 +439,26 @@ impl Ord for FrontierEntry {
 }
 
 impl EmbeddingIndex for HnswIndex {
+    /// Greedy descent through the upper layers, then a beam of
+    /// `max(ef_search, k + 1)` on layer 0.
     fn top_k(&self, query: &[f32], k: usize, exclude: Option<u32>) -> Vec<Neighbor> {
-        self.top_k_ef(query, k, self.cfg.ef_search, exclude)
+        assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        if self.links.is_empty() || k == 0 {
+            return Vec::new();
+        }
+        let q_norm = self.q_norm(query);
+        let mut cur = self.entry;
+        for layer in (1..=self.max_layer).rev() {
+            cur = self.greedy(query, q_norm, cur, layer);
+        }
+        // Over-fetch by one so an excluded id cannot shrink the result.
+        let ef = self.cfg.ef_search.max(k + 1);
+        let mut found = self.search_layer(query, q_norm, &[cur], ef, 0);
+        if let Some(ex) = exclude {
+            found.retain(|c| c.id != ex);
+        }
+        found.truncate(k);
+        found
     }
 
     fn dim(&self) -> usize {
@@ -607,7 +500,6 @@ fn index_level(seed: u64, id: u32, m: usize) -> usize {
 mod tests {
     use super::*;
     use crate::index::{brute_force_reference, recall_at_k};
-    use crate::store::QuantKind;
     use transn_graph::NodeEmbeddings;
 
     /// Deterministic clustered points: `clusters` centers far apart, hash
@@ -672,40 +564,6 @@ mod tests {
             recall /= queries as f64;
             assert!(recall >= 0.95, "{metric:?} recall {recall}");
         }
-    }
-
-    #[test]
-    fn quant_traversal_recall_is_high_and_scores_exact() {
-        let emb = clustered(600, 16, 4);
-        let path = std::env::temp_dir().join(format!("transn-hnsw-quant-{}", std::process::id()));
-        EmbStore::write_quant_file(&emb, None, QuantKind::I8, &path).unwrap();
-        let store = EmbStore::open(&path).unwrap();
-        for metric in [Metric::Cosine, Metric::Dot] {
-            let index = HnswIndex::build(&emb, metric, HnswConfig::default());
-            let mut recall = 0.0;
-            let queries = 40;
-            for q in 0..queries {
-                let qid = (q * 13) % 600;
-                let approx = index.top_k_quant(&store, emb.vector(qid), 10, 64, Some(qid as u32));
-                let exact =
-                    brute_force_reference(&emb, metric, emb.vector(qid), 10, Some(qid as u32));
-                recall += recall_at_k(&approx, &exact);
-                // Returned scores are the *exact* f32 scores, in the
-                // exact total order.
-                for w in approx.windows(2) {
-                    assert!(neighbor_cmp(&w[0], &w[1]) != std::cmp::Ordering::Greater);
-                }
-                let full =
-                    brute_force_reference(&emb, metric, emb.vector(qid), 600, Some(qid as u32));
-                for c in &approx {
-                    let want = full.iter().find(|e| e.id == c.id).unwrap().score;
-                    assert_eq!(c.score.to_bits(), want.to_bits());
-                }
-            }
-            recall /= queries as f64;
-            assert!(recall >= 0.9, "{metric:?} recall {recall}");
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

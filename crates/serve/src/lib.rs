@@ -17,8 +17,8 @@
 //!   conformance-tested against brute force at recall@10 ≥ 0.95.
 //! - [`quant`]: the quantized fast path (DESIGN.md §15) — v2 stores
 //!   carry per-row i8 codes, scanned with exact integer code dots against
-//!   an i8-quantized query by [`QuantizedIndex`] (and by quantized HNSW
-//!   traversal), with exact f32 reranking of the survivors.
+//!   an i8-quantized query by [`QuantizedIndex`], with exact f32
+//!   reranking of the survivors.
 //! - [`batch_top_k`]: batched queries parallelized under the workspace's
 //!   [`transn_sgns::Parallelism`] model — results identical at every
 //!   thread count; the quantized backend streams each code row once per

@@ -5,8 +5,7 @@
 //! once per query (`quantize_row_i8`), and every row is scored with
 //! [`kernels::dot_i8_i8`] in exact i32 arithmetic; the two affines are
 //! then expanded in one fixed f32 expression (`QuantQuery::raw` over
-//! `i8_zterm`, shared with the quantized HNSW traversal) using the
-//! per-row code sums precomputed at index build. Integer sums are
+//! `i8_zterm`) using the per-row code sums precomputed at index build. Integer sums are
 //! order-free, so the scan is bit-deterministic under any vectorization or
 //! blocking — this is the engine that beats the f32 GEMM path on
 //! throughput, not just on footprint — and
@@ -32,15 +31,15 @@ const QUERY_BLOCK: usize = 16;
 
 /// An i8-quantized query: the per-query constants of the symmetric
 /// integer score (codes, affine params, code sum).
-pub(crate) struct QuantQuery {
-    pub(crate) codes: Vec<i8>,
+struct QuantQuery {
+    codes: Vec<i8>,
     scale: f32,
     zero: f32,
     sum: i32,
 }
 
 impl QuantQuery {
-    pub(crate) fn new(query: &[f32]) -> QuantQuery {
+    fn new(query: &[f32]) -> QuantQuery {
         let mut codes = vec![0i8; query.len()];
         let p = kernels::quantize_row_i8(query, &mut codes);
         let sum = kernels::sum_i8(&codes);
@@ -59,7 +58,7 @@ impl QuantQuery {
     /// dot), `Q = Σ qc`, `R = Σ c`, all exact i32 — one fixed f32
     /// expression, so every scan path produces identical bits.
     #[inline]
-    pub(crate) fn raw(&self, p: kernels::QuantParams, zterm: f32, code_dot: i32) -> f32 {
+    fn raw(&self, p: kernels::QuantParams, zterm: f32, code_dot: i32) -> f32 {
         let qterm = p.scale * code_dot as f32 + p.zero * self.sum as f32;
         self.scale * qterm + self.zero * zterm
     }
@@ -69,7 +68,7 @@ impl QuantQuery {
 /// `zterm = s·R + z·d` with `R = Σ c` the row's code sum and `d` the
 /// dimension. Shared by every query scoring that row.
 #[inline]
-pub(crate) fn i8_zterm(p: kernels::QuantParams, code_sum: i32, dim: usize) -> f32 {
+fn i8_zterm(p: kernels::QuantParams, code_sum: i32, dim: usize) -> f32 {
     p.scale * code_sum as f32 + p.zero * dim as f32
 }
 

@@ -811,11 +811,6 @@ impl EmbStore {
         self.ext.map(|e| e.kind)
     }
 
-    /// The validated v2 extension header, if present.
-    pub fn quant_ext(&self) -> Option<&QuantExt> {
-        self.ext.as_ref()
-    }
-
     /// The i8 code row of node `n`, zero-copy from the mapping.
     ///
     /// # Panics

@@ -14,7 +14,9 @@
 //! Corpus training follows one schedule, the **stream schedule**
 //! ([`stream`]): every walk draws noise from its own RNG seeded by its
 //! global corpus index, and the lr decays over the global pair position.
-//! An epoch may be cut into walk episodes without changing the result.
+//! An epoch may be cut into walk episodes without changing the result:
+//! a generation pre-pass makes the noise table and the lr pair total
+//! exact corpus-wide values before the first episode trains.
 //! Walks are applied either serially in corpus order for bit-identical
 //! fixed-seed runs at any thread count ([`sync::Determinism::Strict`]) or
 //! in concurrent shards with Hogwild-style lock-free updates
@@ -36,5 +38,5 @@ pub use hsoftmax::HsModel;
 pub use negative::{NoiseAccumulator, NoiseScratch, NoiseTable};
 pub use sgns::{train_pair_views, SgnsConfig, SgnsModel, TrainScratch};
 pub use sigmoid::fast_sigmoid;
-pub use stream::{train_epoch_episodic, EpisodicState, NoiseMode};
+pub use stream::{train_epoch_episodic, EpisodicState};
 pub use sync::{run_shards, Determinism, Parallelism, RacyTable};

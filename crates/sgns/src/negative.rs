@@ -171,8 +171,8 @@ impl NoiseTable {
     /// caller's [`NoiseScratch`]. Bit-identical to
     /// [`from_frequencies`](NoiseTable::from_frequencies) over the same
     /// counts, but allocation-free once the scratch and the table's own
-    /// buffers have reached the support size — the streaming episodic mode
-    /// calls this once per episode as the accumulated counts grow.
+    /// buffers have reached the support size — episodic training calls
+    /// this once per epoch on a held [`crate::EpisodicState`].
     ///
     /// # Panics
     /// Panics if all frequencies are zero.

@@ -21,23 +21,13 @@
 //! interleaving. [`SgnsModel::train_corpus`] is the same schedule over one
 //! resident corpus.
 //!
-//! Two noise-table policies ([`NoiseMode`]) trade a generation pre-pass for
-//! exactness:
-//!
-//! * [`NoiseMode::Global`] generates every episode once up front (walks
-//!   are cheap to replay — they are a pure function of the seed), folding
-//!   each into a [`NoiseAccumulator`] so the noise distribution and the lr
-//!   pair total are exact corpus-wide values. This is the parity mode:
-//!   Strict results do not depend on the episode size, bit for bit. When
-//!   the plan has one episode, the pre-pass arena already holds the whole
-//!   epoch and is trained in place — one generation pass, no producer
-//!   thread.
-//! * [`NoiseMode::Streaming`] folds each episode right before its first
-//!   consuming pass and rebuilds the noise table in place
-//!   ([`NoiseTable::rebuild_from_frequencies`]) from the counts seen so
-//!   far; the lr pair total is extrapolated. One generation pass instead of
-//!   two — the throughput mode, statistically equivalent but not
-//!   bit-comparable to Global mode.
+//! The noise distribution and the lr pair total are exact corpus-wide
+//! values: every episode is generated once up front (walks are cheap to
+//! replay — they are a pure function of the seed) and folded into a
+//! [`NoiseAccumulator`], so Strict results do not depend on the episode
+//! size, bit for bit. When the plan has one episode, that pre-pass arena
+//! already holds the whole epoch and is trained in place — one generation
+//! pass, no producer thread.
 
 use crate::context::{context_pairs, count_pairs};
 use crate::negative::{NoiseAccumulator, NoiseScratch, NoiseTable};
@@ -56,25 +46,12 @@ const LOGICAL_SHARDS: usize = 64;
 /// multiplier `transn_walks::parallel_generate` uses for per-task seeds).
 const WALK_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// How the negative-sampling distribution is obtained under episodic
-/// training. See the module docs for the trade-off.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NoiseMode {
-    /// Exact corpus-wide frequencies via a generation pre-pass; Strict
-    /// runs are bit-identical for any episode size.
-    #[default]
-    Global,
-    /// Fold each episode's frequencies just before training it; single
-    /// generation pass, no bit-parity claim.
-    Streaming,
-}
-
 /// Persistent state for [`train_epoch_episodic`]: the episode plan, the
 /// arena pool, the frequency accumulator, the in-place-rebuilt noise table,
 /// and the training scratch. Hold one across epochs — after the first
 /// epoch warms every buffer, a steady-state epoch at
-/// `episodes_in_flight == 1`, or with a one-episode Global plan, performs
-/// no heap allocation.
+/// `episodes_in_flight == 1`, or with a one-episode plan, performs no heap
+/// allocation.
 #[derive(Clone, Debug)]
 pub struct EpisodicState {
     episodes: Vec<Range<usize>>,
@@ -103,20 +80,12 @@ impl EpisodicState {
     }
 
     /// Highest resident corpus bytes observed: the arena pool's high-water
-    /// sum plus the Global-mode pre-pass arena. This is the number the
+    /// sum plus the pre-pass arena. This is the number the
     /// bounded-memory claim is about — it stays at ~`episodes_in_flight`
     /// episode arenas no matter how large the full corpus is. With one
     /// episode per epoch the pre-pass arena holds the whole corpus.
     pub fn peak_corpus_bytes(&self) -> usize {
         self.buffer.peak_heap_bytes() + self.prepass_peak.max(self.prepass.heap_bytes())
-    }
-
-    /// Shrink every held arena's reservation to `token_budget` tokens
-    /// (see [`WalkCorpus::shrink_to`]) — the between-epoch guard against a
-    /// one-off giant episode pinning its high-water allocation.
-    pub fn shrink_to(&mut self, token_budget: usize) {
-        self.buffer.shrink_to(token_budget);
-        self.prepass.shrink_to(token_budget);
     }
 }
 
@@ -131,11 +100,10 @@ impl EpisodicState {
 /// `cfg.episode.episode_walks` (0 = one episode spanning everything) and
 /// pipelined through the state's [`EpisodeBuffer`]: with two or more arenas
 /// in flight a producer thread generates episode N+1 while the caller
-/// trains episode N. In Global mode a one-episode plan skips the buffer and
-/// trains the pre-pass arena in place through [`SgnsModel::train_corpus`].
+/// trains episode N. A one-episode plan skips the buffer and trains the
+/// pre-pass arena in place through [`SgnsModel::train_corpus`].
 ///
 /// Returns the mean pair loss.
-#[allow(clippy::too_many_arguments)]
 pub fn train_epoch_episodic<G>(
     model: &mut SgnsModel,
     num_nodes: usize,
@@ -143,7 +111,6 @@ pub fn train_epoch_episodic<G>(
     walks_per_task: impl Fn(usize) -> usize,
     generate: G,
     cfg: &SgnsConfig,
-    mode: NoiseMode,
     state: &mut EpisodicState,
 ) -> f32
 where
@@ -160,62 +127,43 @@ where
     }
     state.acc.reset(num_nodes);
 
-    // Global mode: replay generation once up front for exact corpus-wide
-    // frequencies and the exact lr pair total.
-    let mut total_pairs = 0u64;
-    if mode == NoiseMode::Global {
-        for r in &state.episodes {
-            generate(r.clone(), &mut state.prepass);
-            state.acc.fold(&state.prepass, cfg.window);
-        }
-        state.prepass_peak = state.prepass_peak.max(state.prepass.heap_bytes());
-        if state.acc.tokens() == 0 {
-            return 0.0;
-        }
-        rebuild_noise(&mut state.noise, &state.acc, &mut state.noise_scratch);
-        if state.episodes.len() == 1 {
-            // The pre-pass arena holds the whole epoch: train it in place.
-            let noise = state.noise.as_ref().expect("noise table just built");
-            return model.train_corpus(&state.prepass, noise, cfg, &mut state.scratch);
-        }
-        total_pairs = state.acc.pairs();
+    // Replay generation once up front for exact corpus-wide frequencies
+    // and the exact lr pair total.
+    for r in &state.episodes {
+        generate(r.clone(), &mut state.prepass);
+        state.acc.fold(&state.prepass, cfg.window);
     }
+    state.prepass_peak = state.prepass_peak.max(state.prepass.heap_bytes());
+    if state.acc.tokens() == 0 {
+        return 0.0;
+    }
+    rebuild_noise(&mut state.noise, &state.acc, &mut state.noise_scratch);
+    let noise = state.noise.as_ref().expect("noise table just built");
+    if state.episodes.len() == 1 {
+        // The pre-pass arena holds the whole epoch: train it in place.
+        return model.train_corpus(&state.prepass, noise, cfg, &mut state.scratch);
+    }
+    let total_pairs = state.acc.pairs();
 
-    let num_episodes = state.episodes.len();
     let mut loss_sum = 0.0f64;
     let mut pairs_done = 0u64;
     let mut walks_done = 0u64;
-    let EpisodicState {
-        episodes,
-        buffer,
-        acc,
-        noise_scratch,
-        noise,
-        scratch,
-        ..
-    } = state;
-    let episodes: &[Range<usize>] = episodes;
+    let scratch = &mut state.scratch;
+    let episodes: &[Range<usize>] = &state.episodes;
     let generate = &generate;
-    buffer.run(
-        num_episodes,
+    state.buffer.run(
+        episodes.len(),
         |e, arena| generate(episodes[e].clone(), arena),
-        |e, arena| {
-            let total = match mode {
-                NoiseMode::Global => total_pairs,
-                NoiseMode::Streaming => {
-                    acc.fold(arena, cfg.window);
-                    if acc.tokens() == 0 {
-                        return;
-                    }
-                    rebuild_noise(noise, acc, noise_scratch);
-                    // Extrapolate the lr denominator from the episodes
-                    // seen so far (exact once the last episode folds).
-                    acc.pairs().saturating_mul(num_episodes as u64) / (e as u64 + 1)
-                }
-            };
-            let noise = noise.as_ref().expect("noise table built before training");
+        |_, arena| {
             let (l, d) = train_episode_stream(
-                model, arena, noise, cfg, walks_done, pairs_done, total, scratch,
+                model,
+                arena,
+                noise,
+                cfg,
+                walks_done,
+                pairs_done,
+                total_pairs,
+                scratch,
             );
             loss_sum += l;
             pairs_done += d;
@@ -453,7 +401,7 @@ mod tests {
         }
     }
 
-    /// End-to-end `train_epoch_episodic` (Global mode): episode size,
+    /// End-to-end `train_epoch_episodic`: episode size,
     /// arenas in flight, and thread count never change the Strict result.
     #[test]
     fn epoch_episodic_invariant_to_decomposition() {
@@ -498,7 +446,6 @@ mod tests {
                 |_| 1,
                 generate,
                 &cfg,
-                NoiseMode::Global,
                 &mut state,
             );
             assert!(state.peak_corpus_bytes() > 0);
@@ -521,66 +468,6 @@ mod tests {
         }
     }
 
-    /// Streaming mode trains (single generation pass) and converges; no
-    /// bit-parity claim, but the loss must be finite and decrease across
-    /// epochs on a persistent state.
-    #[test]
-    fn streaming_mode_trains_and_reuses_state() {
-        let n = 40usize;
-        let tasks: Vec<u32> = (0..60).collect();
-        let generate = |r: Range<usize>, arena: &mut WalkCorpus| {
-            parallel_generate_offset_into(
-                arena,
-                &tasks[r.clone()],
-                r.start,
-                1,
-                9,
-                |&t, rng, out| {
-                    out.push_with(|buf| {
-                        buf.push(t % n as u32);
-                        for _ in 0..5 {
-                            buf.push(rng.random_range(0..n as u32));
-                        }
-                    });
-                },
-            );
-        };
-        let cfg = SgnsConfig {
-            dim: 8,
-            negatives: 3,
-            seed: 4,
-            episode: EpisodeConfig {
-                episode_walks: 10,
-                episodes_in_flight: 2,
-            },
-            ..Default::default()
-        };
-        let mut model = SgnsModel::new(n, cfg.dim, &mut Rng::seed_from_u64(8));
-        let mut state = EpisodicState::new(2);
-        let mut losses = Vec::new();
-        for _ in 0..4 {
-            losses.push(train_epoch_episodic(
-                &mut model,
-                n,
-                tasks.len(),
-                |_| 1,
-                generate,
-                &cfg,
-                NoiseMode::Streaming,
-                &mut state,
-            ));
-        }
-        assert!(losses.iter().all(|l| l.is_finite() && *l > 0.0));
-        assert!(
-            losses.last().unwrap() < losses.first().unwrap(),
-            "streaming loss {losses:?}"
-        );
-        // The shrink guard releases the arenas' reservations.
-        let before = state.peak_corpus_bytes();
-        state.shrink_to(4);
-        assert!(before > 0);
-    }
-
     #[test]
     fn empty_task_list_is_a_noop() {
         let cfg = SgnsConfig {
@@ -597,7 +484,6 @@ mod tests {
             |_| 1,
             |_, arena: &mut WalkCorpus| arena.clear(),
             &cfg,
-            NoiseMode::Global,
             &mut state,
         );
         assert_eq!(loss, 0.0);

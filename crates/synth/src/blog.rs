@@ -73,7 +73,7 @@ impl BlogConfig {
     }
 
     /// Out-of-core pipeline benchmark scale (ISSUE 7): ~10× the nodes of
-    /// the walk-layer bench graph (`walks_snapshot`'s 40k users), which
+    /// the walk-layer bench graph (40k users), which
     /// together with 10× longer walks puts ~100× the walk tokens of that
     /// bench through the episodic pipeline — the regime where a
     /// monolithic corpus is hundreds of megabytes and bounded episodes

@@ -37,7 +37,7 @@ use transn_nn::kernels;
 use transn_nn::{FeedForward, LossKind, Matrix, Translator, Workspace};
 use transn_rng::Rng;
 use transn_sgns::{
-    train_epoch_episodic, EpisodicState, NoiseMode, NoiseTable, SgnsConfig, SgnsModel, TrainScratch,
+    train_epoch_episodic, EpisodicState, NoiseTable, SgnsConfig, SgnsModel, TrainScratch,
 };
 use transn_walks::{parallel_generate, parallel_generate_offset_into, EpisodeConfig, WalkCorpus};
 
@@ -795,7 +795,6 @@ fn episodic_train_emit(ctx: &mut Ctx, episode_walks: usize, in_flight: usize, th
         |_| 1,
         |range, arena| generate_episode(&tasks, range, threads, seed, nodes, arena),
         &cfg,
-        NoiseMode::Global,
         &mut state,
     );
     check_finite("episodic sgns input table", model.input_table()).unwrap();

@@ -133,8 +133,7 @@ impl WalkCorpus {
     }
 
     /// Heap bytes currently reserved by the arena (tokens + offsets
-    /// capacity) — the corpus's resident memory, reported by
-    /// `BENCH_walks.json`.
+    /// capacity) — the corpus's resident memory.
     pub fn heap_bytes(&self) -> usize {
         self.tokens.capacity() * std::mem::size_of::<u32>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
@@ -187,18 +186,6 @@ impl WalkCorpus {
             }
             self.offsets.extend(rest.iter().map(|&o| base + o));
         }
-    }
-
-    /// Shrink reserved capacity down to `token_budget` tokens (never below
-    /// the current contents). [`WalkCorpus::clear`] deliberately keeps the
-    /// high-water capacity so steady-state regeneration is allocation-free;
-    /// this is the escape hatch for the opposite hazard — a one-off giant
-    /// episode must not pin its peak allocation forever. The offsets bound
-    /// is derived as `token_budget / 2 + 1`: the walk-length<2 drop rule
-    /// means at most one stored walk per two tokens.
-    pub fn shrink_to(&mut self, token_budget: usize) {
-        self.tokens.shrink_to(token_budget);
-        self.offsets.shrink_to(token_budget / 2 + 1);
     }
 }
 
@@ -451,31 +438,16 @@ mod tests {
     }
 
     #[test]
-    fn shrink_to_releases_high_water_but_clear_does_not() {
+    fn clear_keeps_high_water() {
         // A "giant episode" fills the arena...
         let mut c = WalkCorpus::new();
         for i in 0..1000u32 {
             c.push(&[i, i + 1, i + 2, i + 3]);
         }
         let high_water = c.heap_bytes();
-        // ...clear keeps the peak capacity pinned (steady-state contract)...
+        // ...and clear keeps the peak capacity pinned (steady-state contract).
         c.clear();
         assert_eq!(c.heap_bytes(), high_water);
-        // ...and shrink_to is the guard that releases it.
-        c.shrink_to(64);
-        assert!(
-            c.heap_bytes() <= (64 + 64 / 2 + 1) * 4,
-            "heap_bytes {} after shrink_to(64)",
-            c.heap_bytes()
-        );
-        // shrink_to never drops live contents.
-        for i in 0..50u32 {
-            c.push(&[i, i + 1, i + 2]);
-        }
-        c.shrink_to(0);
-        assert_eq!(c.len(), 50);
-        assert_eq!(c.walk(49), &[49, 50, 51]);
-        assert!(c.heap_bytes() >= c.total_tokens() * 4);
     }
 
     #[test]

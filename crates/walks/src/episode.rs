@@ -135,15 +135,6 @@ impl EpisodeBuffer {
         self.peak_heap_bytes
     }
 
-    /// Shrink every arena's reservation to `token_budget` tokens (see
-    /// [`WalkCorpus::shrink_to`]) — call between epochs so a one-off giant
-    /// episode cannot pin its high-water allocation forever.
-    pub fn shrink_to(&mut self, token_budget: usize) {
-        for arena in &mut self.arenas {
-            arena.shrink_to(token_budget);
-        }
-    }
-
     /// Drive `episodes` through the pipeline: `generate(e, arena)` fills
     /// an arena with episode `e` (it must clear the arena first, as
     /// `parallel_generate_offset_into` does), then `consume(e, arena)`
@@ -333,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn warmed_serial_buffer_keeps_capacity_and_shrinks_on_demand() {
+    fn warmed_serial_buffer_keeps_capacity() {
         let tasks: Vec<u32> = (0..64).collect();
         let mut buffer = EpisodeBuffer::new(1);
         let run = |buffer: &mut EpisodeBuffer| {
@@ -358,7 +349,5 @@ mod tests {
         run(&mut buffer);
         assert_eq!(buffer.heap_bytes(), warmed, "steady state must not grow");
         assert_eq!(buffer.peak_heap_bytes(), warmed);
-        buffer.shrink_to(8);
-        assert!(buffer.heap_bytes() < warmed);
     }
 }

@@ -1,41 +1,32 @@
 #!/usr/bin/env bash
 # Record the perf trajectory in-repo: run the self-timing snapshot binaries
-# and write, at the repo root, BENCH_kernels.json (kernel layer),
-# BENCH_walks.json (flat walk-corpus arena), BENCH_pipeline.json (episodic
-# training pipeline at the 100× out-of-core scale — the slow one, ~tens of
-# minutes), BENCH_quant.json (serving: f32 and i8 stores × brute scan and
-# HNSW), and BENCH_drift.json (streaming deltas + incremental refresh).
-# Those five are committed; BENCH_scale.json (million-node tiers) is
-# generated here and gated in CI but too machine-dependent to commit — it
-# stays local / an artifact.
+# and write, at the repo root, BENCH_quant.json (serving: f32 and i8 stores
+# × brute scan and HNSW) and BENCH_drift.json (streaming deltas +
+# incremental refresh). Those two are committed; BENCH_scale.json
+# (million-node tiers) is generated here and gated in CI but too
+# machine-dependent to commit — it stays local / an artifact.
 #
 # Positional arguments override the output paths, in this order:
-#   kernels walks pipeline scale quant drift
+#   scale quant drift
 #
 # The JSON comes from self-timing binaries (plain Instant-based timing);
 # the workspace has no third-party dependencies, so this runs offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_kernels.json}"
-WALKS_OUT="${2:-BENCH_walks.json}"
-PIPELINE_OUT="${3:-BENCH_pipeline.json}"
-SCALE_OUT="${4:-BENCH_scale.json}"
-QUANT_OUT="${5:-BENCH_quant.json}"
-DRIFT_OUT="${6:-BENCH_drift.json}"
+SCALE_OUT="${1:-BENCH_scale.json}"
+QUANT_OUT="${2:-BENCH_quant.json}"
+DRIFT_OUT="${3:-BENCH_drift.json}"
 
-cargo run --release -p transn-bench --bin kernel_snapshot -- "$OUT"
-cargo run --release -p transn-bench --bin walks_snapshot -- "$WALKS_OUT"
-cargo run --release -p transn-bench --bin pipeline_snapshot -- "$PIPELINE_OUT"
 # Million-node scale path (setup / logreg-eval / full-pipeline tiers at
 # 40k, 400k, 1M, and 4M nodes — the slowest snapshot by far).
 cargo run --release -p transn-bench --bin scale_snapshot -- "$SCALE_OUT"
-# Serving path (f32/i8 × brute/HNSW on the 32k and commerce-mid tiers,
-# recall@10 vs the exact f32 oracle).
+# Serving path (f32/i8 brute scan and f32 HNSW on the 32k and commerce-mid
+# tiers, recall@10 vs the exact f32 oracle).
 cargo run --release -p transn-bench --bin quant_snapshot -- "$QUANT_OUT"
 # Streaming drift — incremental refresh vs full retrain over K timestamped
 # delta rounds (temporal link-prediction AUC + wall-clock).
 cargo run --release -p transn-bench --bin drift_snapshot -- "$DRIFT_OUT"
 
-echo "snapshots written to $OUT, $WALKS_OUT, $PIPELINE_OUT, $SCALE_OUT, $QUANT_OUT, and $DRIFT_OUT"
-echo "(committed at repo root: kernels, walks, pipeline, quant, drift; scale stays local/CI-artifact)"
+echo "snapshots written to $SCALE_OUT, $QUANT_OUT, and $DRIFT_OUT"
+echo "(committed at repo root: quant, drift; scale stays local/CI-artifact)"
