@@ -1,5 +1,6 @@
 //! Minimal flag parser: `--name value` pairs plus positional arguments,
-//! checked against the flags one command's usage entry lists.
+//! checked against the flags and positionals one command's usage entry
+//! lists.
 //! (No external CLI dependency: the workspace has none; see DESIGN.md §5.)
 
 use std::collections::HashMap;
@@ -24,18 +25,32 @@ fn flag_spec(usage: &str) -> impl Iterator<Item = (&str, bool)> {
     })
 }
 
+/// How many positional words a usage entry takes: the command itself and
+/// one per `<…>` placeholder (`<aminer|blog>`).
+fn positional_count(usage: &str) -> usize {
+    1 + usage
+        .split_whitespace()
+        .filter(|token| token.trim_start_matches(['[', '(']).starts_with('<'))
+        .count()
+}
+
 impl Args {
-    /// Parse `argv` (without the program name) against `usage`, the
-    /// command's entry of the usage text. A flag the entry does not list,
-    /// a bare flag followed by a value, and a valued flag followed by
-    /// another `--...` or nothing are errors.
+    /// Parse `argv` (without the program name, so starting with the
+    /// command) against `usage`, the command's entry of the usage text. A
+    /// flag the entry does not list, a bare flag followed by a value, a
+    /// valued flag followed by another `--...` or nothing, and a
+    /// positional word beyond the entry's `<…>` placeholders are errors.
     pub fn parse(argv: &[String], usage: &str) -> Result<Args, String> {
         let mut out = Args::default();
+        let positionals = positional_count(usage);
         let mut i = 0;
         while i < argv.len() {
             let a = &argv[i];
             i += 1;
             let Some(name) = a.strip_prefix("--") else {
+                if out.positional.len() == positionals {
+                    return Err(format!("unexpected argument {a:?}"));
+                }
                 out.positional.push(a.clone());
                 continue;
             };
@@ -127,6 +142,17 @@ mod tests {
         assert_eq!(a.get("net"), Some("g.tsv"));
         assert_eq!(a.get_parse("dim", 64usize).unwrap(), 32);
         assert_eq!(a.get_parse("iterations", 5usize).unwrap(), 5);
+    }
+
+    #[test]
+    fn positionals_beyond_the_placeholders_are_rejected() {
+        assert_eq!(positional_count(USAGE), 2);
+        assert_eq!(
+            parse("x a b --tiny").unwrap_err(),
+            "unexpected argument \"b\""
+        );
+        let bare = Args::parse(&["stats".into(), "extra".into()], "transn stats --net FILE");
+        assert_eq!(bare.unwrap_err(), "unexpected argument \"extra\"");
     }
 
     #[test]

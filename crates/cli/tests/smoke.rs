@@ -592,6 +592,26 @@ fn unknown_flags_and_wrong_arity_exit_2_before_io() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.contains(needle), "{args:?}: {err}");
     }
+    // A positional word beyond the entry's `<…>` placeholders.
+    let dir = Scratch::new("extra-positional");
+    let out_dir = dir.path("generated");
+    for (args, word) in [
+        (
+            &["stats", "--net", "missing.tsv", "extra-word"][..],
+            "extra-word",
+        ),
+        (
+            &["generate", "aminer", "blog", "--out", &out_dir, "--tiny"],
+            "blog",
+        ),
+    ] {
+        let out = transn(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let needle = format!("error: unexpected argument \"{word}\"");
+        assert!(err.contains(&needle), "{args:?}: {err}");
+    }
+    assert!(!PathBuf::from(&out_dir).exists(), "nothing generated");
     // `refresh` reads `--variant`: it passes the flag check and fails on
     // the missing network instead.
     let mut args = commands[9].to_vec();

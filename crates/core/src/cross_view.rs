@@ -46,15 +46,14 @@ impl<'a> EmbSlot<'a> {
             "gather buffer shape mismatch"
         );
         for (r, &l) in locals.iter().enumerate() {
-            let base = l as usize * self.dim;
-            for (c, v) in out.row_mut(r).iter_mut().enumerate() {
-                *v = self.table.load(base + c);
-            }
+            self.table
+                .gather_into(l as usize * self.dim, out.row_mut(r));
         }
     }
 
-    /// SGD row update: `emb[l] ← emb[l] − lr · grad_row`. Repeated nodes in
-    /// a segment accumulate naturally. Allocation-free.
+    /// SGD row update: `emb[l] ← emb[l] + (−lr) · grad_row`, the same bits
+    /// as `emb[l] − lr · grad_row`. Repeated nodes in a segment accumulate
+    /// naturally. Allocation-free.
     pub fn scatter(&self, locals: &[u32], grad: &Matrix, lr: f32) {
         assert_eq!(
             (grad.rows(), grad.cols()),
@@ -62,11 +61,8 @@ impl<'a> EmbSlot<'a> {
             "scatter gradient shape mismatch"
         );
         for (r, &l) in locals.iter().enumerate() {
-            let base = l as usize * self.dim;
-            for (c, &g) in grad.row(r).iter().enumerate() {
-                let i = base + c;
-                self.table.store(i, self.table.load(i) - lr * g);
-            }
+            self.table
+                .add_scaled(l as usize * self.dim, -lr, grad.row(r));
         }
     }
 }

@@ -23,12 +23,14 @@
 //! with an empty dirty set returns the previous embedding table bitwise
 //! unchanged. Refresh runs the trainer's schedule (DESIGN.md §8) with the
 //! dirty mask as the set of views to train: affected pairs train in
-//! conflict-free levels and each dirty view on its own thread. Under
-//! `Determinism::Strict` or one thread it is therefore a pure function of
-//! `(net, prev, plan, cfg)`, bit-identical at every thread count
-//! (`refresh_is_bit_identical_across_strict_thread_counts`). Multi-threaded
-//! Hogwild SGNS inside a dirty view races on its table, so those results
-//! vary run to run.
+//! conflict-free levels and each dirty view on its own thread, with
+//! `threads` split across the dirty views as in training (DESIGN.md §7).
+//! Under `Determinism::Strict`, or with no more threads than dirty views
+//! (each then trains on one SGNS worker, in place), it is therefore a pure
+//! function of `(net, prev, plan, cfg)`, bit-identical at every thread
+//! count (`refresh_is_bit_identical_across_strict_thread_counts`). A dirty
+//! view given more than one Hogwild worker races on its table, so those
+//! results vary run to run.
 
 use crate::config::TransNConfig;
 use crate::fusion::fuse;
@@ -77,7 +79,10 @@ impl RefreshPlan {
 /// `prev`.
 ///
 /// Returns the new fused embedding table over all of `net`'s nodes. With
-/// an empty plan this is `prev.clone()` — bitwise identical. Use a `cfg`
+/// an empty plan this is `prev.clone()` — bitwise identical. The dirty
+/// views share `cfg.parallelism.threads` as in [`TransN::train`](crate::TransN::train):
+/// an even share each, at least one SGNS worker, so at
+/// `threads ≤ dirty views` Hogwild refresh is reproducible. Use a `cfg`
 /// with fewer `iterations` than full training: the warm start is the
 /// point (see `drift_snapshot`, which runs at half the full-retrain
 /// iteration budget).
@@ -238,6 +243,25 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), base, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn hogwild_refresh_with_one_worker_per_dirty_view_equals_strict() {
+        // Two dirty views and two threads: each view trains on one SGNS
+        // worker, in place, so Hogwild gives Strict's bits.
+        let net = toy_net();
+        let mut cfg = TransNConfig::for_tests();
+        cfg.iterations = 2;
+        let prev = TransN::new(&net, cfg).train();
+        let plan = RefreshPlan {
+            dirty: vec![true, true, false],
+        };
+        let run = |par: Parallelism| {
+            let mut cfg = cfg;
+            cfg.parallelism = par;
+            refresh(&net, &prev, &plan, &cfg)
+        };
+        assert_eq!(run(Parallelism::hogwild(2)), run(Parallelism::strict(1)));
     }
 
     #[test]

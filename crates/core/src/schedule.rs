@@ -7,6 +7,10 @@
 //! its next single-view iteration starts on its own thread once that level
 //! is done. Every conflicting pair of operations keeps its serial order,
 //! so the result is the serial loop's bits at every thread count.
+//!
+//! The schedule also splits `cfg.parallelism.threads` evenly across the
+//! views it trains ([`sgns_workers`]), at least one SGNS worker each.
+//! Cross-view levels use all `threads`.
 
 use crate::config::TransNConfig;
 use crate::cross_view::{CrossPair, EmbSlot};
@@ -16,7 +20,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 use std::thread::{Scope, ScopedJoinHandle};
 use transn_graph::par::run_shards_build;
-use transn_graph::ViewPair;
+use transn_graph::{Parallelism, ViewPair};
 
 /// Levels and release points of one set of view-pairs.
 pub(crate) struct Schedule {
@@ -78,7 +82,19 @@ impl Schedule {
             levels.resize_with(levels.len().max(self.level[q] + 1), Vec::new);
             levels[self.level[q]].push((q, Mutex::new(pair)));
         }
-        let trains = |v: usize| train.get(v) == Some(&true);
+        let trains: Vec<bool> = (0..views.len())
+            .map(|v| train.get(v) == Some(&true))
+            .collect();
+        let view_cfgs: Vec<TransNConfig> = sgns_workers(&trains, cfg.parallelism.threads)
+            .into_iter()
+            .map(|threads| TransNConfig {
+                parallelism: Parallelism {
+                    threads,
+                    ..cfg.parallelism
+                },
+                ..*cfg
+            })
+            .collect();
         std::thread::scope(|scope| {
             let mut lanes: Vec<Lane<'_, '_>> = views
                 .iter_mut()
@@ -88,17 +104,17 @@ impl Schedule {
                 })
                 .collect();
             for (v, lane) in lanes.iter_mut().enumerate() {
-                if trains(v) {
+                if trains[v] {
                     let end = self.release[v].map_or(iterations, |_| 1).min(iterations);
-                    lane.start(scope, 0..end, cfg);
+                    lane.start(scope, 0..end, &view_cfgs[v]);
                 }
             }
             for iter in 0..iterations {
                 for (l, level) in levels.iter().enumerate() {
                     self.run_level(level, &mut lanes, &mut stats, cfg, iter);
                     for (v, lane) in lanes.iter_mut().enumerate() {
-                        if self.release[v] == Some(l) && trains(v) && iter + 1 < iterations {
-                            lane.start(scope, iter + 1..iter + 2, cfg);
+                        if self.release[v] == Some(l) && trains[v] && iter + 1 < iterations {
+                            lane.start(scope, iter + 1..iter + 2, &view_cfgs[v]);
                         }
                     }
                 }
@@ -141,6 +157,27 @@ impl Schedule {
             stats.cross_segments[iter][q] = segments;
         }
     }
+}
+
+/// SGNS workers per view (DESIGN.md §7): `threads` split evenly across
+/// the views with `trains[v]`, `max(1, threads / active)` each, and the
+/// remainder one apiece to the lowest-indexed of them. So at
+/// `threads ≤ active` every training view runs on the sequential in-place
+/// path, and the training views' workers sum to `max(threads, active)`. A
+/// view that does not train gets 1 and runs no SGNS.
+pub(crate) fn sgns_workers(trains: &[bool], threads: usize) -> Vec<usize> {
+    let active = trains.iter().filter(|&&t| t).count().max(1);
+    let (share, mut extra) = (threads / active, threads % active);
+    (trains.iter())
+        .map(|&t| {
+            if !t || share == 0 {
+                return 1;
+            }
+            let one = usize::from(extra > 0);
+            extra -= one;
+            share + one
+        })
+        .collect()
 }
 
 /// One view: idle on the scheduling thread, or busy on its own thread
@@ -244,6 +281,33 @@ mod tests {
     }
 
     #[test]
+    fn sgns_workers_split_threads_evenly() {
+        for (trains, threads, want) in [
+            (&[true; 4][..], 1, &[1, 1, 1, 1][..]),
+            (&[true; 4], 2, &[1, 1, 1, 1]),
+            (&[true; 4], 4, &[1, 1, 1, 1]),
+            (&[true; 4], 8, &[2, 2, 2, 2]),
+            (&[true; 4], 11, &[3, 3, 3, 2]),
+            // Views that do not train get 1 and take no share.
+            (&[false, true, false, true], 1, &[1, 1, 1, 1]),
+            (&[false, true, false, true], 8, &[1, 4, 1, 4]),
+            (&[false, true, false, true], 9, &[1, 5, 1, 4]),
+            (&[false, false], 8, &[1, 1]),
+        ] {
+            let w = sgns_workers(trains, threads);
+            assert_eq!(w, want, "{trains:?} at {threads} threads");
+            let active = trains.iter().filter(|&&t| t).count();
+            let used: usize = (w.iter().zip(trains))
+                .filter(|&(_, &t)| t)
+                .map(|(&k, _)| k)
+                .sum();
+            if active > 0 {
+                assert_eq!(used, threads.max(active), "{trains:?} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
     fn scheduled_run_matches_the_serial_loop() {
         use transn_sgns::Parallelism;
         let net = aminer_like(&AminerConfig::tiny(), 5).net;
@@ -276,6 +340,8 @@ mod tests {
             Parallelism::strict(1),
             Parallelism::strict(4),
             Parallelism::hogwild(1),
+            // One SGNS worker per view: each trains in place.
+            Parallelism::hogwild(4),
         ] {
             cfg.parallelism = par;
             let (mut v, mut p, schedule) = crate::trainer::setup(&net, &cfg, |_, _| true);

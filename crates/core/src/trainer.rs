@@ -119,8 +119,13 @@ impl<'a> TransN<'a> {
     /// corpus. The cross-view step stays per-iteration — it samples paths
     /// from the *network* (not the walk corpus), so episodes don't apply.
     ///
-    /// Each view trains on its own thread and each cross-view level uses
-    /// `cfg.parallelism.threads`; `Determinism` governs only SGNS.
+    /// Each view trains on its own thread, and `cfg.parallelism.threads`
+    /// is split evenly across the views, at least one SGNS worker each
+    /// (`threads / views`, the remainder to the lowest-indexed views). A
+    /// view with one worker updates its rows in place in corpus order, so
+    /// at `threads ≤ views` Hogwild training is reproducible and equals
+    /// Strict bit for bit. Each cross-view level uses all `threads`;
+    /// `Determinism` governs only SGNS.
     pub fn train(self) -> NodeEmbeddings {
         self.train_with_stats().0
     }

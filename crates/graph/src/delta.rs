@@ -23,6 +23,7 @@ use crate::error::GraphError;
 use crate::ids::{EdgeTypeId, NodeId, NodeTypeId};
 use crate::network::{Edge, HetNet};
 use crate::par::Parallelism;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -163,6 +164,8 @@ pub struct DeltaOverlay {
     base_live: Vec<bool>,
     inserted: Vec<Edge>,
     inserted_live: Vec<bool>,
+    /// Live slots per unordered edge key, most recent last; a key is
+    /// present only while it has a live slot.
     live_index: HashMap<(u32, u32, u32), Vec<EdgeSlot>>,
     num_live: usize,
 }
@@ -308,11 +311,19 @@ impl DeltaOverlay {
                 if etype.index() >= self.base.schema().num_edge_types() {
                     return Err(GraphError::UnknownEdgeType(etype));
                 }
-                let slot = self
-                    .live_index
-                    .get_mut(&edge_key(u, v, etype))
-                    .and_then(Vec::pop)
-                    .ok_or(GraphError::MissingEdge { u, v, etype })?;
+                // A key leaves the index with its last live slot, so the
+                // index holds only live edges however long the stream runs.
+                let Entry::Occupied(mut slots) = self.live_index.entry(edge_key(u, v, etype))
+                else {
+                    return Err(GraphError::MissingEdge { u, v, etype });
+                };
+                let slot = slots
+                    .get_mut()
+                    .pop()
+                    .expect("indexed keys have a live slot");
+                if slots.get().is_empty() {
+                    slots.remove();
+                }
                 match slot {
                     EdgeSlot::Base(i) => self.base_live[i] = false,
                     EdgeSlot::Inserted(i) => self.inserted_live[i] = false,
@@ -704,6 +715,40 @@ mod tests {
             .map(|e| e.weight)
             .collect();
         assert_eq!(w, vec![1.0]);
+    }
+
+    #[test]
+    fn removals_drop_dead_keys_from_the_index() {
+        let mut ov = DeltaOverlay::new(toy_net());
+        for t in 0..6u32 {
+            let mut ins = DeltaBatch::new(2 * t as u64);
+            ins.add_edge(NodeId(2), NodeId(5), EdgeTypeId(1), 1.0);
+            ins.add_edge(NodeId(3), NodeId(4), EdgeTypeId(1), 1.0);
+            ins.add_edge(NodeId(3), NodeId(4), EdgeTypeId(1), 2.0);
+            ov.apply(&ins).unwrap();
+            let mut rm = DeltaBatch::new(2 * t as u64 + 1);
+            rm.remove_edge(NodeId(5), NodeId(2), EdgeTypeId(1));
+            rm.remove_edge(NodeId(3), NodeId(4), EdgeTypeId(1));
+            rm.remove_edge(NodeId(4), NodeId(3), EdgeTypeId(1));
+            // A base edge: its key leaves the index for good.
+            if t == 0 {
+                rm.remove_edge(NodeId(0), NodeId(1), EdgeTypeId(0));
+            }
+            ov.apply(&rm).unwrap();
+            assert!(ov.live_index.values().all(|slots| !slots.is_empty()));
+            assert!(ov.live_index.len() <= ov.num_live_edges());
+        }
+        assert_eq!(ov.num_live_edges(), 5);
+        // A dead key still reports the typed error, and reinserting it works.
+        let mut again = DeltaBatch::new(20);
+        again.remove_edge(NodeId(0), NodeId(1), EdgeTypeId(0));
+        let err = ov.apply(&again).unwrap_err();
+        assert!(matches!(err, GraphError::MissingEdge { .. }), "{err}");
+        let mut back = DeltaBatch::new(21);
+        back.add_edge(NodeId(1), NodeId(0), EdgeTypeId(0), 1.0);
+        back.remove_edge(NodeId(0), NodeId(1), EdgeTypeId(0));
+        ov.apply(&back).unwrap();
+        assert_eq!(ov.num_live_edges(), 5);
     }
 
     #[test]

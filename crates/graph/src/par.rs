@@ -59,7 +59,10 @@ pub enum Determinism {
 pub struct Parallelism {
     /// Worker threads for Hogwild shard training (ignored by SGNS under
     /// [`Determinism::Strict`]) and for conflict-free schedules in both
-    /// modes. Clamped to at least 1.
+    /// modes. Clamped to at least 1. TransN splits the budget evenly
+    /// across the views it trains, at least one SGNS worker each, so at
+    /// `threads ≤ views` every view trains sequentially and Hogwild runs
+    /// are reproducible; its cross-view levels use all `threads`.
     pub threads: usize,
     /// Update-application policy.
     pub determinism: Determinism,
@@ -123,8 +126,9 @@ impl Parallelism {
 /// `f32`s, every access is an atomic operation, so there is no undefined
 /// behavior and every read observes some previously-stored bit pattern.
 /// On x86-64 and aarch64 a `Relaxed` 32-bit load/store compiles to a plain
-/// `mov`/`ldr`, so the serial path pays nothing for going through this
-/// view.
+/// `mov`/`ldr`, but the compiler never vectorises atomics, so a row moves
+/// one scalar slot at a time; sequential trainers update plain slices
+/// instead.
 pub struct RacyTable<'a> {
     words: &'a [AtomicU32],
 }
@@ -175,24 +179,27 @@ impl<'a> RacyTable<'a> {
 
     /// Copy `dst.len()` consecutive slots starting at `start` into `dst`.
     ///
-    /// Row-granularity companion to [`RacyTable::load`]: the trainers
-    /// gather an embedding row into plain scratch once per pair so the
-    /// arithmetic can run through the slice kernels in `transn_nn::kernels`
-    /// (DESIGN.md §9). Under Hogwild this snapshots the row — concurrent
-    /// writes landing mid-gather are simply not observed, which is the
-    /// same staleness Hogwild already tolerates per element.
+    /// Row-granularity companion to [`RacyTable::load`]: the Hogwild
+    /// trainers gather an embedding row into plain scratch once per pair
+    /// so the arithmetic can run through the slice kernels in
+    /// `transn_nn::kernels` (DESIGN.md §9). Under Hogwild this snapshots
+    /// the row — concurrent writes landing mid-gather are simply not
+    /// observed, which is the same staleness Hogwild already tolerates per
+    /// element. The row ops check bounds once per row, not per slot.
     #[inline]
     pub fn gather_into(&self, start: usize, dst: &mut [f32]) {
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = self.load(start + j);
+        let row = &self.words[start..start + dst.len()];
+        for (d, w) in dst.iter_mut().zip(row) {
+            *d = f32::from_bits(w.load(Ordering::Relaxed));
         }
     }
 
     /// Write `src` into consecutive slots starting at `start`.
     #[inline]
     pub fn scatter(&self, start: usize, src: &[f32]) {
-        for (j, &v) in src.iter().enumerate() {
-            self.store(start + j, v);
+        let row = &self.words[start..start + src.len()];
+        for (w, &v) in row.iter().zip(src) {
+            w.store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -200,8 +207,10 @@ impl<'a> RacyTable<'a> {
     /// read-modify-write (lost updates acceptable under Hogwild).
     #[inline]
     pub fn add_scaled(&self, start: usize, s: f32, src: &[f32]) {
-        for (j, &v) in src.iter().enumerate() {
-            self.add(start + j, s * v);
+        let row = &self.words[start..start + src.len()];
+        for (w, &v) in row.iter().zip(src) {
+            let sum = f32::from_bits(w.load(Ordering::Relaxed)) + s * v;
+            w.store(sum.to_bits(), Ordering::Relaxed);
         }
     }
 }

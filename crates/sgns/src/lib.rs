@@ -17,11 +17,13 @@
 //! An epoch may be cut into walk episodes without changing the result:
 //! a generation pre-pass makes the noise table and the lr pair total
 //! exact corpus-wide values before the first episode trains.
-//! Walks are applied either serially in corpus order for bit-identical
-//! fixed-seed runs at any thread count ([`sync::Determinism::Strict`]) or
-//! in concurrent shards with Hogwild-style lock-free updates
-//! ([`sync::Determinism::Hogwild`]). The TransN training loop additionally
-//! parallelizes *across views* (each view owns an independent model).
+//! Walks are applied either serially in corpus order, updating the tables
+//! in place, for bit-identical fixed-seed runs at any thread count
+//! ([`sync::Determinism::Strict`], or one worker) or in concurrent shards
+//! with Hogwild-style lock-free updates ([`sync::Determinism::Hogwild`]).
+//! The TransN training loop additionally parallelizes *across views* (each
+//! view owns an independent model) and splits its thread budget across
+//! them.
 
 #![warn(missing_docs)]
 
@@ -36,7 +38,7 @@ pub mod sync;
 pub use context::{context_pairs, window_for_view};
 pub use hsoftmax::HsModel;
 pub use negative::{NoiseAccumulator, NoiseScratch, NoiseTable};
-pub use sgns::{train_pair_views, SgnsConfig, SgnsModel, TrainScratch};
+pub use sgns::{SgnsConfig, SgnsModel, TrainScratch};
 pub use sigmoid::fast_sigmoid;
 pub use stream::{train_epoch_episodic, EpisodicState};
 pub use sync::{run_shards, Determinism, Parallelism, RacyTable};

@@ -130,14 +130,15 @@ impl SgnsModel {
     }
 
     /// Both tables mutably at once (input, output) — the stream trainer
-    /// wraps each in a [`crate::RacyTable`] view.
+    /// updates them in place, or wraps each in a [`crate::RacyTable`] view
+    /// for Hogwild workers.
     pub(crate) fn tables_mut(&mut self) -> (&mut [f32], &mut [f32]) {
         (&mut self.input, &mut self.output)
     }
 
     /// Train one positive pair plus `negatives` noise pairs, updating the
-    /// center's input vector and the contexts' output vectors. Returns the
-    /// (approximate) pair loss for monitoring.
+    /// center's input vector and the contexts' output vectors in place.
+    /// Returns the (approximate) pair loss for monitoring.
     #[inline]
     pub fn train_pair(
         &mut self,
@@ -150,11 +151,9 @@ impl SgnsModel {
     ) -> f32 {
         let dim = self.dim;
         let mut scratch = vec![0.0f32; 3 * dim];
-        let input = RacyTable::new(&mut self.input);
-        let output = RacyTable::new(&mut self.output);
-        train_pair_views(
-            &input,
-            &output,
+        pair_update(
+            &mut self.input[..],
+            &mut self.output[..],
             dim,
             center,
             ctx,
@@ -172,11 +171,11 @@ impl SgnsModel {
     /// pair loss.
     ///
     /// `cfg.parallelism` decides how walks are applied: Strict (or one
-    /// thread) applies them serially in corpus order, so fixed-seed runs
-    /// are bit-identical at any thread count; Hogwild trains
-    /// `w % num_shards` shards concurrently through lock-free
-    /// [`RacyTable`] views. Hold `ws` across epochs: a warmed sequential
-    /// epoch performs no heap allocation.
+    /// thread) applies them serially in corpus order, updating the tables
+    /// in place, so fixed-seed runs are bit-identical at any thread count;
+    /// Hogwild trains `w % num_shards` shards concurrently through
+    /// lock-free [`RacyTable`] views. Hold `ws` across epochs: a warmed
+    /// sequential epoch performs no heap allocation.
     pub fn train_corpus(
         &mut self,
         corpus: &WalkCorpus,
@@ -211,24 +210,86 @@ pub struct TrainScratch {
     pub(crate) pair_starts: Vec<u64>,
 }
 
-/// Train one positive pair plus `negatives` noise pairs against shared
-/// [`RacyTable`] views — the Hogwild-capable core of
-/// [`SgnsModel::train_pair`], numerically identical to it when run
-/// serially. `scratch` must be a caller-provided `3·dim`-length buffer
-/// (center-gradient accumulator, center-row snapshot, and context-row
-/// staging, hoisted out so the hot loop does not allocate per pair).
+/// How the SGNS pair update reaches embedding rows. Plain `[f32]` tables
+/// (sequential execution) are read and updated in place; shared
+/// [`RacyTable`] views (Hogwild) go through gather/compute/scatter, so the
+/// arithmetic always runs on plain slices. One pair body,
+/// [`pair_update`], serves both.
+pub(crate) trait Rows {
+    /// The `buf.len()` slots from `start`: borrowed in place, or copied
+    /// into `buf`.
+    fn read<'s>(&'s self, start: usize, buf: &'s mut [f32]) -> &'s [f32];
+
+    /// Run `f` on the `buf.len()` slots from `start`: in place, or on a
+    /// copy in `buf` that is written back when `f` returns.
+    fn update(&mut self, start: usize, buf: &mut [f32], f: impl FnOnce(&mut [f32]));
+
+    /// `slots[start..start + src.len()] += s·src`.
+    fn add_scaled(&mut self, start: usize, s: f32, src: &[f32]);
+}
+
+impl Rows for [f32] {
+    #[inline(always)]
+    fn read<'s>(&'s self, start: usize, buf: &'s mut [f32]) -> &'s [f32] {
+        &self[start..start + buf.len()]
+    }
+
+    #[inline(always)]
+    fn update(&mut self, start: usize, buf: &mut [f32], f: impl FnOnce(&mut [f32])) {
+        f(&mut self[start..start + buf.len()]);
+    }
+
+    #[inline(always)]
+    fn add_scaled(&mut self, start: usize, s: f32, src: &[f32]) {
+        kernels::axpy(&mut self[start..start + src.len()], s, src);
+    }
+}
+
+impl Rows for &RacyTable<'_> {
+    #[inline(always)]
+    fn read<'s>(&'s self, start: usize, buf: &'s mut [f32]) -> &'s [f32] {
+        self.gather_into(start, buf);
+        buf
+    }
+
+    #[inline(always)]
+    fn update(&mut self, start: usize, buf: &mut [f32], f: impl FnOnce(&mut [f32])) {
+        self.gather_into(start, buf);
+        f(buf);
+        self.scatter(start, buf);
+    }
+
+    #[inline(always)]
+    fn add_scaled(&mut self, start: usize, s: f32, src: &[f32]) {
+        RacyTable::add_scaled(self, start, s, src);
+    }
+}
+
+/// Train one positive pair plus `negatives` noise pairs: the SGNS pair
+/// body, written once over any [`Rows`]. For each of the positive and
+/// `negatives` noise targets, the dot and both axpys run on the target's
+/// output row, accumulating the center gradient against the pre-update
+/// row; the center's input row takes `−grad` once, when the pair ends.
+/// Returns the (approximate) pair loss.
 ///
-/// Rows are gathered into scratch once per pair/target so the dot and the
-/// rank-1 updates run through the 8-lane slice kernels
-/// ([`transn_nn::kernels`], DESIGN.md §9). Serially this computes exactly
+/// `scratch` must be a caller-provided `3·dim`-length buffer
+/// (center-gradient accumulator, center-row snapshot and context-row
+/// staging, hoisted out so the hot loop does not allocate per pair). On
+/// plain `[f32]` tables (sequential execution and
+/// [`SgnsModel::train_pair`]) the kernels run on the rows in place and
+/// only the accumulator is used. On shared [`RacyTable`] views (Hogwild)
+/// each row is gathered into scratch once per pair/target, so the dot and
+/// the rank-1 updates still run through the 8-lane slice kernels
+/// ([`transn_nn::kernels`], DESIGN.md §9). Serially both compute exactly
 /// the word2vec update (the center row is constant for the whole pair, so
-/// the one-time snapshot is not an approximation); under Hogwild it
-/// coarsens staleness from per-element to per-row, which the scheme
-/// tolerates by design. Returns the (approximate) pair loss.
+/// the one-time snapshot is not an approximation); under Hogwild the
+/// snapshot coarsens staleness from per-element to per-row, which the
+/// scheme tolerates by design.
 #[allow(clippy::too_many_arguments)]
-pub fn train_pair_views(
-    input: &RacyTable<'_>,
-    output: &RacyTable<'_>,
+#[inline]
+pub(crate) fn pair_update<I: Rows + ?Sized, O: Rows + ?Sized>(
+    input: &mut I,
+    output: &mut O,
     dim: usize,
     center: u32,
     ctx: u32,
@@ -241,9 +302,9 @@ pub fn train_pair_views(
     debug_assert_eq!(scratch.len(), 3 * dim);
     let c = center as usize * dim;
     let (grad_center, rest) = scratch.split_at_mut(dim);
-    let (v_center, row) = rest.split_at_mut(dim);
+    let (center_buf, row_buf) = rest.split_at_mut(dim);
     grad_center.fill(0.0);
-    input.gather_into(c, v_center);
+    let v_center = input.read(c, center_buf);
     let mut loss = 0.0f32;
 
     // One positive + `negatives` noise targets.
@@ -253,20 +314,18 @@ pub fn train_pair_views(
         } else {
             (noise.sample_excluding(ctx, rng), 0.0f32)
         };
-        let o = target as usize * dim;
-        output.gather_into(o, row);
-        let pred = fast_sigmoid(kernels::dot(v_center, row));
-        loss -= if label > 0.5 {
-            pred.max(1e-7).ln()
-        } else {
-            (1.0 - pred).max(1e-7).ln()
-        };
-        let g = (pred - label) * lr;
-        // grad_center accumulates against the pre-update context row,
-        // exactly as the per-element loop did.
-        kernels::axpy(grad_center, g, row);
-        kernels::axpy(row, -g, v_center);
-        output.scatter(o, row);
+        output.update(target as usize * dim, row_buf, |row| {
+            let pred = fast_sigmoid(kernels::dot(v_center, row));
+            loss -= if label > 0.5 {
+                pred.max(1e-7).ln()
+            } else {
+                (1.0 - pred).max(1e-7).ln()
+            };
+            let g = (pred - label) * lr;
+            // grad_center accumulates against the pre-update context row.
+            kernels::axpy(grad_center, g, row);
+            kernels::axpy(row, -g, v_center);
+        });
     }
     input.add_scaled(c, -1.0, grad_center);
     loss

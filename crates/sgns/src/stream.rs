@@ -31,7 +31,7 @@
 
 use crate::context::{context_pairs, count_pairs};
 use crate::negative::{NoiseAccumulator, NoiseScratch, NoiseTable};
-use crate::sgns::{train_pair_views, SgnsConfig, SgnsModel, TrainScratch};
+use crate::sgns::{pair_update, Rows, SgnsConfig, SgnsModel, TrainScratch};
 use crate::sync::{run_shards, RacyTable};
 use std::ops::Range;
 use transn_rng::Rng;
@@ -197,10 +197,11 @@ fn rebuild_noise(noise: &mut Option<NoiseTable>, acc: &NoiseAccumulator, ws: &mu
 /// `(loss_sum, pairs_done)`.
 ///
 /// Sequential execution ([`crate::Parallelism::is_sequential`]) applies
-/// walks in global corpus order — the episode-size-invariant schedule.
-/// Hogwild shards the episode's walks (`w % num_shards`) over the
-/// configured workers; per-walk seeds and lr positions are unchanged, so
-/// only update interleaving differs.
+/// walks in global corpus order — the episode-size-invariant schedule —
+/// updating the model's tables in place. Hogwild shards the episode's
+/// walks (`w % num_shards`) over the configured workers, sharing the
+/// tables through [`RacyTable`] views; per-walk seeds and lr positions are
+/// unchanged, so only update interleaving differs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn train_episode_stream(
     model: &mut SgnsModel,
@@ -227,8 +228,6 @@ pub(crate) fn train_episode_stream(
     let pair_starts = &ws.pair_starts;
     let num_shards = LOGICAL_SHARDS.min(corpus.len());
     let (input, output) = model.tables_mut();
-    let input = RacyTable::new(input);
-    let output = RacyTable::new(output);
     if cfg.parallelism.is_sequential(num_shards) {
         ws.pair_scratch.resize(3 * dim, 0.0);
         let scratch = &mut ws.pair_scratch;
@@ -238,8 +237,8 @@ pub(crate) fn train_episode_stream(
         #[allow(clippy::needless_range_loop)]
         for w in 0..corpus.len() {
             let (l, d) = train_walk_stream(
-                &input,
-                &output,
+                input,
+                output,
                 dim,
                 corpus.walk(w),
                 noise,
@@ -254,14 +253,16 @@ pub(crate) fn train_episode_stream(
         }
         acc
     } else {
+        let (input, output) = (RacyTable::new(input), RacyTable::new(output));
         let per_shard = run_shards(num_shards, cfg.parallelism, |s| {
+            let (mut input, mut output) = (&input, &output);
             let mut scratch = vec![0.0f32; 3 * dim];
             let mut acc = (0.0f64, 0u64);
             let mut w = s;
             while w < corpus.len() {
                 let (l, d) = train_walk_stream(
-                    &input,
-                    &output,
+                    &mut input,
+                    &mut output,
                     dim,
                     corpus.walk(w),
                     noise,
@@ -286,9 +287,9 @@ pub(crate) fn train_episode_stream(
 /// Apply one walk's pairs: RNG seeded by the walk's global index, lr by
 /// global pair position over `total_pairs`.
 #[allow(clippy::too_many_arguments)]
-fn train_walk_stream(
-    input: &RacyTable<'_>,
-    output: &RacyTable<'_>,
+fn train_walk_stream<I: Rows + ?Sized, O: Rows + ?Sized>(
+    input: &mut I,
+    output: &mut O,
     dim: usize,
     walk: &[u32],
     noise: &NoiseTable,
@@ -304,7 +305,7 @@ fn train_walk_stream(
     context_pairs(walk, cfg.window, |center, ctx| {
         let frac = 1.0 - pair as f32 / total_pairs.max(1) as f32;
         let lr = cfg.lr0 * frac.max(cfg.min_lr_frac);
-        loss_sum += train_pair_views(
+        loss_sum += pair_update(
             input,
             output,
             dim,
@@ -399,6 +400,66 @@ mod tests {
                 assert_eq!(mean.to_bits(), mono_loss.to_bits(), "chunk {chunk}");
             }
         }
+    }
+
+    /// The two instantiations of the pair body cannot drift: a loop of the
+    /// racy one (`&RacyTable` rows) over the stream schedule's walks,
+    /// per-walk seeds and lr positions reproduces a Strict `train_corpus`,
+    /// which updates the tables in place, bit for bit. `dim = 19` covers
+    /// both the 8-lane body and the tail of the kernels.
+    #[test]
+    fn in_place_pass_equals_the_racy_pair_body() {
+        let n = 30u32;
+        let corpus = random_corpus(200, n, 4);
+        let noise = NoiseTable::from_frequencies(&corpus.node_frequencies(n as usize));
+        let cfg = SgnsConfig {
+            dim: 19,
+            negatives: 3,
+            seed: 8,
+            parallelism: Parallelism::strict(4),
+            ..Default::default()
+        };
+        let mut in_place = SgnsModel::new(n as usize, cfg.dim, &mut Rng::seed_from_u64(5));
+        let loss = in_place.train_corpus(&corpus, &noise, &cfg, &mut TrainScratch::default());
+
+        let mut racy = SgnsModel::new(n as usize, cfg.dim, &mut Rng::seed_from_u64(5));
+        let total: u64 = (0..corpus.len())
+            .map(|w| count_pairs(corpus.walk(w).len(), cfg.window) as u64)
+            .sum();
+        let (mut pair, mut loss_sum) = (0u64, 0.0f64);
+        {
+            let (input, output) = racy.tables_mut();
+            let (input, output) = (RacyTable::new(input), RacyTable::new(output));
+            let (mut input, mut output) = (&input, &output);
+            let mut scratch = vec![0.0f32; 3 * cfg.dim];
+            for w in 0..corpus.len() {
+                let mut rng = Rng::seed_from_u64(cfg.seed ^ (w as u64).wrapping_mul(WALK_SEED_MIX));
+                context_pairs(corpus.walk(w), cfg.window, |center, ctx| {
+                    let frac = 1.0 - pair as f32 / total as f32;
+                    let lr = cfg.lr0 * frac.max(cfg.min_lr_frac);
+                    loss_sum += pair_update(
+                        &mut input,
+                        &mut output,
+                        cfg.dim,
+                        center,
+                        ctx,
+                        &noise,
+                        cfg.negatives,
+                        lr,
+                        &mut rng,
+                        &mut scratch,
+                    ) as f64;
+                    pair += 1;
+                });
+            }
+        }
+        let bits = |m: &mut SgnsModel| {
+            let (i, o) = m.tables_mut();
+            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (bits(i), bits(o))
+        };
+        assert_eq!(bits(&mut in_place), bits(&mut racy));
+        assert_eq!(loss.to_bits(), mean_loss(loss_sum, pair).to_bits());
     }
 
     /// End-to-end `train_epoch_episodic`: episode size,

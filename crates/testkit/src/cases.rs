@@ -13,7 +13,7 @@
 //! | sgns    | noise-from-corpus, strict-threads {1,2,4,8}, hogwild1 | `Bitwise` |
 //! | sgns    | sgns-episodic-vs-monolithic             | `Bitwise`      |
 //! | sgns    | hs-vs-sgns-trend                        | `Bitwise` flags|
-//! | core    | core-strict-threads, core-episodic-strict | `Bitwise`    |
+//! | core    | core-strict-threads, core-hogwild-split, core-episodic-strict | `Bitwise` |
 //! | graph   | csr-build-threads, alias-build-threads, noise-build-threads (each vs the serial path, threads {1,2,4,8}) | `Bitwise` |
 //! | eval    | logreg-gemm-fit                         | `Rel(1e-3)`    |
 //! | eval    | logreg-batch-predict                    | `Bitwise`      |
@@ -66,6 +66,7 @@ pub fn registry() -> Vec<Box<dyn Conformance>> {
         Box::new(SgnsEpisodicVsMonolithic),
         Box::new(HsVsSgnsTrend),
         Box::new(CoreStrictThreads),
+        Box::new(CoreHogwildSplit),
         Box::new(CoreEpisodicStrict),
         Box::new(CsrBuildThreads),
         Box::new(AliasBuildThreads),
@@ -908,12 +909,34 @@ impl Conformance for CoreStrictThreads {
     }
     fn fast(&self, ctx: &mut Ctx) {
         for threads in [2, 4] {
-            core_train_emit(ctx, threads);
+            core_train_emit(ctx, |_| Parallelism::strict(threads));
         }
     }
     fn reference(&self, ctx: &mut Ctx) {
         for _ in [2, 4] {
-            core_train_emit(ctx, 1);
+            core_train_emit(ctx, |_| Parallelism::strict(1));
+        }
+    }
+}
+
+struct CoreHogwildSplit;
+impl Conformance for CoreHogwildSplit {
+    fn name(&self) -> &'static str {
+        "core-hogwild-split"
+    }
+    fn tolerance(&self) -> Match {
+        // With no more threads than views every view gets one SGNS worker
+        // and trains on the sequential in-place path, so Hogwild is the
+        // Strict result bit for bit.
+        Match::Bitwise
+    }
+    fn fast(&self, ctx: &mut Ctx) {
+        core_train_emit(ctx, |_| Parallelism::hogwild(2));
+        core_train_emit(ctx, Parallelism::hogwild);
+    }
+    fn reference(&self, ctx: &mut Ctx) {
+        for _ in 0..2 {
+            core_train_emit(ctx, |_| Parallelism::strict(1));
         }
     }
 }
@@ -973,27 +996,28 @@ fn core_episodic_emit(ctx: &mut Ctx, episode_walks: usize, in_flight: usize, thr
 /// Two inputs: the two-view fixture for one iteration, and the four-view
 /// AMiner-shaped fixture for two, whose pairs train in three cross-view
 /// levels and whose views start their second iteration at different
-/// release points.
-fn core_train_emit(ctx: &mut Ctx, threads: usize) {
+/// release points. `par(views)` is the policy for a net with `views` views.
+fn core_train_emit(ctx: &mut Ctx, par: impl Fn(usize) -> Parallelism) {
     let inputs = [
         (fixture::two_type_net(8, 5, ctx.seed()), 1),
         (fixture::four_view_net(10, 14, 3, ctx.seed()), 2),
     ];
     for (net, iterations) in inputs {
+        let parallelism = par(net.schema().num_edge_types());
         let mut cfg = TransNConfig {
             dim: 8,
             iterations,
             encoders: 1,
             cross_len: 4,
             cross_paths: 10,
-            parallelism: Parallelism::strict(threads),
+            parallelism,
             ..TransNConfig::default()
         }
         .with_seed(ctx.seed());
         cfg.walk.length = 10;
         cfg.walk.min_walks_per_node = 2;
         cfg.walk.max_walks_per_node = 4;
-        cfg.walk.threads = threads;
+        cfg.walk.threads = parallelism.threads;
         let emb = TransN::new(&net, cfg).train();
         for n in 0..emb.num_nodes() {
             let row = emb.get(transn_graph::NodeId(n as u32));
