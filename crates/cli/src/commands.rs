@@ -298,7 +298,7 @@ fn neighbors(args: &Args) -> Result<(), String> {
         return Err(format!("node {node} out of range (0..{})", emb.num_nodes()));
     }
     // The exact index `query --index brute` ranks with: score descending,
-    // then id ascending, a total order even over NaN scores.
+    // then id ascending, NaN scores last.
     let index = BruteForceIndex::new(&emb, Metric::Cosine);
     println!("nearest neighbours of node {node} (cosine):");
     for n in index.top_k(emb.get(NodeId(node)), top, Some(node)) {

@@ -624,8 +624,15 @@ fn unknown_flags_and_wrong_arity_exit_2_before_io() {
 #[test]
 fn neighbors_ranks_like_the_brute_force_query() {
     let scratch = Scratch::new("neighbors");
+    let ids = |out: &Output, field: usize| -> Vec<String> {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter_map(|l| l.split_whitespace().nth(field).map(String::from))
+            .filter(|id| id.parse::<u32>().is_ok())
+            .collect()
+    };
     // A NaN coordinate makes every cosine against row 2 NaN; the ranking
-    // must still be total.
+    // must still be total, with the NaN row last.
     let nan = scratch.path("nan.tsv");
     fs::write(
         &nan,
@@ -640,19 +647,13 @@ fn neighbors_ranks_like_the_brute_force_query() {
     let err = stderr(&out);
     assert!(!err.contains("panicked"), "{err}");
     assert!(out.status.success(), "{err}");
+    assert_eq!(ids(&out, 0), ["1", "3", "2"], "{err}");
 
     let emb = scratch.path("emb.tsv");
     let store = scratch.path("emb.store");
     write_toy_embeddings(&emb);
     let out = transn(&["serve-build", "--embeddings", &emb, "--out", &store]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let ids = |out: &Output, field: usize| -> Vec<String> {
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter_map(|l| l.split_whitespace().nth(field).map(String::from))
-            .filter(|id| id.parse::<u32>().is_ok())
-            .collect()
-    };
     let neighbors = transn(&[
         "neighbors",
         "--embeddings",

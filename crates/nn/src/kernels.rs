@@ -25,15 +25,21 @@
 //! evaluating `o + t0 + t1 + t2 + t3` left-to-right — exactly the order of
 //! the textbook loop, so their outputs are **bit-identical to the naive
 //! references** while touching each output row a quarter as often.
-//! [`gemm_tb`] reduces along rows, so each output element is one [`dot`]
-//! and inherits the 8-lane tree order (≠ naive order, ≈ 1e-7 relative).
+//! [`gemm_tb`] reduces along rows, so each output element is bit-identical
+//! to one [`dot`] and inherits the 8-lane tree order (≠ naive order,
+//! ≈ 1e-7 relative); it computes four such dots per pass over a row of `A`.
+//!
+//! On x86-64 the four matrix kernels ([`gemm`], [`gemm_ta`], [`gemm_tb`],
+//! [`gemm_tb_acc`]) also exist as AVX2 builds of the same body, chosen per
+//! call when the CPU has AVX2; wider vectors change no bit.
 //!
 //! Every kernel ships with a `*_ref` naive reference implementation that
 //! serves as its semantic specification: the property tests in
 //! `tests/kernel_proptests.rs` pin exact bit equality where the reduction
-//! order is preserved (`axpy`, `scale_add`, `gemm`, `gemm_ta`,
-//! `gemm_tb_acc` vs `gemm_tb`) and 1e-5 relative agreement where it is not
-//! (`dot`, `sqdist`, `gemm_tb`).
+//! order is preserved (`axpy`, `scale_add`, `gemm`, `gemm_ta`, and
+//! `gemm_tb`/`gemm_tb_acc` against a per-element [`dot`] loop) and 1e-5
+//! relative agreement where it is not (`dot`, `sqdist`, `gemm_tb` against
+//! [`gemm_tb_ref`]).
 
 /// Number of independent partial accumulators in the reduction kernels.
 /// 8 × f32 = one 256-bit vector register; on 128-bit ISAs the compiler
@@ -193,6 +199,18 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize)
     assert_eq!(a.len(), n * k, "gemm A shape mismatch");
     assert_eq!(b.len(), k * m, "gemm B shape mismatch");
     assert_eq!(out.len(), n * m, "gemm out shape mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2` confirmed this CPU supports AVX2.
+        return unsafe { avx2::gemm(a, b, out, n, k, m) };
+    }
+    gemm_body(a, b, out, n, k, m);
+}
+
+/// The one body of [`gemm`], compiled once plainly and once in
+/// [`avx2::gemm`].
+#[inline(always)]
+fn gemm_body(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
     out.fill(0.0);
     for i in 0..n {
         gemm_row(
@@ -206,7 +224,7 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize)
 }
 
 /// One row of the [`gemm`] microkernel: `out_row ← out_row + a_row·B`.
-#[inline]
+#[inline(always)]
 fn gemm_row(a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, m: usize) {
     let mut quads = a_row.chunks_exact(4);
     let mut p = 0usize;
@@ -362,8 +380,10 @@ pub fn gemm_ref(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: us
 /// `out ← A·Bᵀ` for row-major `A (n×d)`, `B (m×d)`, `out (n×m)`.
 ///
 /// Both operands are reduced along contiguous rows, so every output element
-/// is one [`dot`] with the fixed 8-lane tree order (≈1e-7 relative from
-/// [`gemm_tb_ref`]'s sequential order).
+/// is **bit-identical to one [`dot`]** of its two rows (≈1e-7 relative from
+/// [`gemm_tb_ref`]'s sequential order). Each pass computes four outputs
+/// against one shared row of `A`; the `m mod 4` outputs left over go
+/// through [`dot`] itself.
 ///
 /// # Panics
 /// Panics if a slice length does not match its shape.
@@ -371,13 +391,12 @@ pub fn gemm_tb(a: &[f32], b: &[f32], out: &mut [f32], n: usize, d: usize, m: usi
     assert_eq!(a.len(), n * d, "gemm_tb A shape mismatch");
     assert_eq!(b.len(), m * d, "gemm_tb B shape mismatch");
     assert_eq!(out.len(), n * m, "gemm_tb out shape mismatch");
-    for i in 0..n {
-        let a_row = &a[i * d..(i + 1) * d];
-        let out_row = &mut out[i * m..(i + 1) * m];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o = dot(a_row, &b[j * d..(j + 1) * d]);
-        }
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2` confirmed this CPU supports AVX2.
+        return unsafe { avx2::gemm_tb(a, b, out, n, d, m) };
     }
+    gemm_tb_body::<false>(a, b, out, n, d, m);
 }
 
 /// `out ← out + A·Bᵀ`: accumulating variant of [`gemm_tb`]. Each element's
@@ -391,13 +410,93 @@ pub fn gemm_tb_acc(a: &[f32], b: &[f32], out: &mut [f32], n: usize, d: usize, m:
     assert_eq!(a.len(), n * d, "gemm_tb A shape mismatch");
     assert_eq!(b.len(), m * d, "gemm_tb B shape mismatch");
     assert_eq!(out.len(), n * m, "gemm_tb out shape mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2` confirmed this CPU supports AVX2.
+        return unsafe { avx2::gemm_tb_acc(a, b, out, n, d, m) };
+    }
+    gemm_tb_body::<true>(a, b, out, n, d, m);
+}
+
+/// The one body of [`gemm_tb`] (`ACC = false`: `o ← dot`) and
+/// [`gemm_tb_acc`] (`ACC = true`: `o ← o + dot`), compiled once plainly
+/// and once in [`avx2`].
+#[inline(always)]
+fn gemm_tb_body<const ACC: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    d: usize,
+    m: usize,
+) {
+    let quads = m / 4;
     for i in 0..n {
         let a_row = &a[i * d..(i + 1) * d];
         let out_row = &mut out[i * m..(i + 1) * m];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o += dot(a_row, &b[j * d..(j + 1) * d]);
+        let (out_quads, out_rest) = out_row.split_at_mut(4 * quads);
+        for (q, o4) in out_quads.chunks_exact_mut(4).enumerate() {
+            let j = 4 * q;
+            let dots = dot4(
+                a_row,
+                [
+                    &b[j * d..(j + 1) * d],
+                    &b[(j + 1) * d..(j + 2) * d],
+                    &b[(j + 2) * d..(j + 3) * d],
+                    &b[(j + 3) * d..(j + 4) * d],
+                ],
+            );
+            for (o, s) in o4.iter_mut().zip(dots) {
+                *o = if ACC { *o + s } else { s };
+            }
+        }
+        for (j, o) in (4 * quads..m).zip(out_rest) {
+            let s = dot(a_row, &b[j * d..(j + 1) * d]);
+            *o = if ACC { *o + s } else { s };
         }
     }
+}
+
+/// Four [`dot`]s of `a` against `b[0..4]` in one pass over `a`, each
+/// bit-identical to `dot(a, b[r])`: the same 8 lanes over
+/// `chunks_exact(8)`, the same fold tree ([`fold_lanes`]), then the same
+/// sequential tail. Every `b[r]` must have `a`'s length.
+#[inline(always)]
+fn dot4(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
+    let split = a.len() - a.len() % LANES;
+    let [b0, b1, b2, b3] = b.map(|r| r.split_at(split));
+    let mut acc = [[0.0f32; LANES]; 4];
+    for ((((ca, c0), c1), c2), c3) in a[..split]
+        .chunks_exact(LANES)
+        .zip(b0.0.chunks_exact(LANES))
+        .zip(b1.0.chunks_exact(LANES))
+        .zip(b2.0.chunks_exact(LANES))
+        .zip(b3.0.chunks_exact(LANES))
+    {
+        for l in 0..LANES {
+            acc[0][l] += ca[l] * c0[l];
+            acc[1][l] += ca[l] * c1[l];
+            acc[2][l] += ca[l] * c2[l];
+            acc[3][l] += ca[l] * c3[l];
+        }
+    }
+    let mut sums = [0.0f32; 4];
+    for ((s, lanes), tail) in sums.iter_mut().zip(&acc).zip([b0.1, b1.1, b2.1, b3.1]) {
+        *s = fold_lanes(lanes);
+        for (x, y) in a[split..].iter().zip(tail) {
+            *s += x * y;
+        }
+    }
+    sums
+}
+
+/// [`dot`]'s lane fold `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))`, kept out
+/// of line: inlined, LLVM's SLP vectorizer regroups the lanes to fit this
+/// tree on every loop iteration (a dozen shuffles per 8 elements) instead
+/// of keeping each output's lanes in one vector register.
+#[inline(never)]
+fn fold_lanes(s: &[f32; LANES]) -> f32 {
+    ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
 }
 
 /// Sequential-order reference for [`gemm_tb`].
@@ -428,6 +527,18 @@ pub fn gemm_ta(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, m: usi
     assert_eq!(a.len(), k * n, "gemm_ta A shape mismatch");
     assert_eq!(b.len(), k * m, "gemm_ta B shape mismatch");
     assert_eq!(out.len(), n * m, "gemm_ta out shape mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2` confirmed this CPU supports AVX2.
+        return unsafe { avx2::gemm_ta(a, b, out, k, n, m) };
+    }
+    gemm_ta_body(a, b, out, k, n, m);
+}
+
+/// The one body of [`gemm_ta`], compiled once plainly and once in
+/// [`avx2::gemm_ta`].
+#[inline(always)]
+fn gemm_ta_body(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, m: usize) {
     out.fill(0.0);
     let mut p = 0usize;
     while p + 4 <= k {
@@ -459,6 +570,86 @@ pub fn gemm_ta(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, m: usi
     }
 }
 
+/// Whether this CPU has AVX2, so the matrix kernels run their [`avx2`]
+/// builds. `is_x86_feature_detected!` caches the answer after the first
+/// call.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// The four matrix kernels compiled a second time with 256-bit vectors.
+///
+/// Each function here is its kernel's `#[inline(always)]` body under
+/// `#[target_feature(enable = "avx2")]`, so LLVM may hold 8 lanes in one
+/// `ymm` register where the baseline x86-64 build splits them across two
+/// 4-wide `xmm` registers. Enabling AVX2 only widens the vectors: Rust
+/// never contracts a multiply and an add into an FMA, and the bodies fix
+/// every reduction order in scalar code, so both builds return the same
+/// bits (`avx2_builds_match_the_plain_bodies_bitwise`).
+///
+/// The public kernels call these only after [`has_avx2`] returned true.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    /// [`super::gemm`] with AVX2 enabled.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+        super::gemm_body(a, b, out, n, k, m);
+    }
+
+    /// [`super::gemm_ta`] with AVX2 enabled.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_ta(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        k: usize,
+        n: usize,
+        m: usize,
+    ) {
+        super::gemm_ta_body(a, b, out, k, n, m);
+    }
+
+    /// [`super::gemm_tb`] with AVX2 enabled.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_tb(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        n: usize,
+        d: usize,
+        m: usize,
+    ) {
+        super::gemm_tb_body::<false>(a, b, out, n, d, m);
+    }
+
+    /// [`super::gemm_tb_acc`] with AVX2 enabled.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_tb_acc(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        n: usize,
+        d: usize,
+        m: usize,
+    ) {
+        super::gemm_tb_body::<true>(a, b, out, n, d, m);
+    }
+}
+
 /// Textbook reference for [`gemm_ta`] (identical bits).
 pub fn gemm_ta_ref(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, m: usize) {
     assert_eq!(a.len(), k * n, "gemm_ta A shape mismatch");
@@ -481,8 +672,9 @@ pub fn gemm_ta_ref(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, m:
 // i8 codes ([`quantize_row_i8`]) against an i8-quantized query. Its
 // kernels ([`dot_i8_i8`], [`sum_i8`]) work in exact i32 arithmetic:
 // integer sums are order-free, so determinism costs nothing and LLVM is
-// free to use SIMD integer multiply-add — this is what makes the i8 scan
-// beat the f32 GEMM path on throughput rather than merely on footprint.
+// free to use SIMD integer multiply-add. Whether the i8 scan also beats
+// the f32 `gemm_tb` scan on throughput, not just on footprint, is
+// measured in `BENCH_quant.json` (ROADMAP item 2).
 
 /// Symmetric quantized dot: `Σ aᵢ · bᵢ` over i8 codes in exact i32
 /// arithmetic — the i8 scan's hot kernel (query codes × row codes).
@@ -709,6 +901,65 @@ mod tests {
         gemm_tb(&a, &b, &mut tmp, n, d, m);
         for ((x, t), b0) in acc.iter().zip(&tmp).zip(&base) {
             assert_eq!(x.to_bits(), (b0 + t).to_bits());
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_builds_match_the_plain_bodies_bitwise() {
+        if !has_avx2() {
+            eprintln!("no AVX2 on this CPU: no AVX2 build to compare");
+            return;
+        }
+        type Body = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        type Wide = unsafe fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        type Lens = fn(usize, usize, usize) -> [usize; 3];
+        // Each kernel's plain body, its AVX2 build, and its A, B and out
+        // lengths at dims (x, y, z) in its own argument order.
+        let kernels: [(&str, Body, Wide, Lens); 4] = [
+            ("gemm", gemm_body, avx2::gemm, |n, k, m| {
+                [n * k, k * m, n * m]
+            }),
+            ("gemm_ta", gemm_ta_body, avx2::gemm_ta, |k, n, m| {
+                [k * n, k * m, n * m]
+            }),
+            (
+                "gemm_tb",
+                gemm_tb_body::<false>,
+                avx2::gemm_tb,
+                |n, d, m| [n * d, m * d, n * m],
+            ),
+            (
+                "gemm_tb_acc",
+                gemm_tb_body::<true>,
+                avx2::gemm_tb_acc,
+                |n, d, m| [n * d, m * d, n * m],
+            ),
+        ];
+        let mut rng = transn_rng::Rng::seed_from_u64(23);
+        // The dims straddle the 4-blocks, the 8 lanes and the vector width.
+        for (x, y, z) in [
+            (1usize, 1usize, 1usize),
+            (3, 9, 5),
+            (4, 64, 8),
+            (6, 40, 13),
+            (9, 131, 7),
+        ] {
+            for (name, plain, wide, lens) in kernels {
+                let [a, b, base] = lens(x, y, z).map(|len| {
+                    (0..len)
+                        .map(|_| rng.random_range(-2.0f32..2.0))
+                        .collect::<Vec<_>>()
+                });
+                let mut p = base.clone();
+                plain(&a, &b, &mut p, x, y, z);
+                let mut w = base;
+                // SAFETY: `has_avx2` confirmed this CPU supports AVX2.
+                unsafe { wide(&a, &b, &mut w, x, y, z) };
+                for (pv, wv) in p.iter().zip(&w) {
+                    assert_eq!(pv.to_bits(), wv.to_bits(), "{name} ({x},{y},{z})");
+                }
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 //!
 //! * **Exact-bits**: kernels whose blocked form evaluates the *same*
 //!   floating-point expression in the *same* order as the naive reference
-//!   (`gemm`, `gemm_ta`, `axpy`, `scale_add`, and `gemm_tb_acc` vs the
-//!   two-step gemm_tb-then-add) must agree bit-for-bit on every input.
+//!   (`gemm`, `gemm_ta`, `axpy`, `scale_add`, `gemm_tb` and `gemm_tb_acc`
+//!   vs a per-element `dot` loop, and `gemm_tb_acc` vs the two-step
+//!   gemm_tb-then-add) must agree bit-for-bit on every input.
 //! * **1e-5 relative**: kernels that reassociate the reduction (`dot`,
 //!   `sqdist`, `gemm_tb` fold 8 partial accumulators in a fixed tree)
 //!   agree with the sequential reference only up to rounding; the fixed
@@ -152,6 +153,43 @@ fn gemm_tb_matches_reference() {
         kernels::gemm_tb_ref(a, b, &mut slow, n, d, m);
         for (f, s) in fast.iter().zip(&slow) {
             assert!(close(*f, *s), "{f} vs {s} (d {d})");
+        }
+    });
+}
+
+/// Every `gemm_tb` output is bit-identical to one `kernels::dot` of its
+/// two rows, and every `gemm_tb_acc` output to `out + dot`. The shapes hit
+/// the four-output passes, the `m mod 4` outputs left over, and the
+/// `d mod 8` tail after the lanes.
+#[test]
+fn gemm_tb_and_acc_equal_a_dot_loop_bits() {
+    check(|rng| {
+        let (n, d, m) = (
+            rng.random_range(0usize..5),
+            rng.random_range(0usize..200),
+            rng.random_range(0usize..13),
+        );
+        let a: Vec<f32> = (0..n * d).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+        let b: Vec<f32> = (0..m * d).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+        let init: Vec<f32> = (0..n * m).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+
+        let mut fresh = vec![f32::NAN; n * m];
+        kernels::gemm_tb(&a, &b, &mut fresh, n, d, m);
+        let mut acc = init.clone();
+        kernels::gemm_tb_acc(&a, &b, &mut acc, n, d, m);
+
+        for i in 0..n {
+            for j in 0..m {
+                let s = kernels::dot(&a[i * d..(i + 1) * d], &b[j * d..(j + 1) * d]);
+                let (f, x) = (fresh[i * m + j], acc[i * m + j]);
+                assert_eq!(f.to_bits(), s.to_bits(), "gemm_tb ({n},{d},{m}) [{i},{j}]");
+                let want = init[i * m + j] + s;
+                assert_eq!(
+                    x.to_bits(),
+                    want.to_bits(),
+                    "gemm_tb_acc ({n},{d},{m}) [{i},{j}]"
+                );
+            }
         }
     });
 }

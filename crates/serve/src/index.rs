@@ -7,8 +7,9 @@
 //! Scores are computed by [`transn_nn::kernels::gemm_tb`], whose every
 //! output element is exactly one 8-lane [`transn_nn::kernels::dot`] — so
 //! the blocked path is **bit-identical** to scoring each row with `dot`
-//! individually. Combined with the total order on [`Neighbor`] (score
-//! descending, id ascending, `f32::total_cmp`), top-k selection through
+//! individually. Combined with the total order on [`Neighbor`]
+//! ([`neighbor_cmp`]: score descending with NaN last, id ascending), top-k
+//! selection through
 //! the bounded heap returns exactly the first k entries of the fully
 //! sorted score list, and [`batch_top_k`] returns identical results at
 //! every thread count.
@@ -99,10 +100,16 @@ pub struct Neighbor {
 }
 
 /// The total order on results: score descending, then id ascending.
-/// `total_cmp` keeps the order total even under NaN scores.
+/// Scores compare as `f32::total_cmp`, except that every NaN score, of
+/// either sign, ranks after all other scores (`-∞` included) and ties
+/// with the other NaNs, so a row that scores NaN is never a top result.
 #[inline]
 pub fn neighbor_cmp(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
-    b.score.total_cmp(&a.score).then(a.id.cmp(&b.id))
+    let by_score = match (a.score.is_nan(), b.score.is_nan()) {
+        (false, false) => b.score.total_cmp(&a.score),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    };
+    by_score.then(a.id.cmp(&b.id))
 }
 
 /// A bounded top-k accumulator: pushing n candidates costs O(n log k) and
@@ -457,6 +464,39 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn nan_scores_rank_after_every_other_score() {
+        let nb = |id, score| Neighbor { id, score };
+        let cands = [
+            nb(0, f32::NAN),
+            nb(1, 0.5),
+            nb(2, -f32::NAN),
+            nb(3, f32::INFINITY),
+            nb(4, f32::NEG_INFINITY),
+            nb(5, -0.0),
+            nb(6, 0.0),
+            nb(7, 0.5),
+        ];
+        let mut sorted = cands.to_vec();
+        sorted.sort_by(neighbor_cmp);
+        let ids: Vec<u32> = sorted.iter().map(|n| n.id).collect();
+        // Finite and infinite scores keep `total_cmp`'s descending order
+        // (+0 before -0); both NaNs come last, tied, by id.
+        assert_eq!(ids, [3, 1, 7, 6, 5, 4, 0, 2]);
+        assert_eq!(
+            neighbor_cmp(&nb(9, f32::NAN), &nb(9, -f32::NAN)),
+            std::cmp::Ordering::Equal
+        );
+        for k in 0..=cands.len() {
+            let mut top = TopK::new(k);
+            for &c in &cands {
+                top.push(c);
+            }
+            let got: Vec<u32> = top.into_sorted().iter().map(|n| n.id).collect();
+            assert_eq!(got, ids[..k], "k={k}");
         }
     }
 

@@ -7,9 +7,9 @@
 //! then expanded in one fixed f32 expression (`QuantQuery::raw` over
 //! `i8_zterm`) using the per-row code sums precomputed at index build. Integer sums are
 //! order-free, so the scan is bit-deterministic under any vectorization or
-//! blocking — this is the engine that beats the f32 GEMM path on
-//! throughput, not just on footprint — and
-//! [`QuantizedIndex::top_k_batch`] is bit-identical to
+//! blocking (its throughput against the f32 `gemm_tb` scan is measured in
+//! `BENCH_quant.json`), and [`QuantizedIndex::top_k_batch`] is
+//! bit-identical to
 //! [`QuantizedIndex::top_k`] per query, hence identical at every thread
 //! count under `batch_top_k`.
 //!
@@ -209,8 +209,8 @@ impl EmbeddingIndex for QuantizedIndex<'_> {
         // score is *strictly below* the worst survivor's cannot displace
         // anything (`neighbor_cmp` orders by score first), so the heap
         // call is skipped entirely. `<` is NaN-safe — a NaN score never
-        // satisfies it and falls through to the push, where `total_cmp`
-        // ranks it deterministically.
+        // satisfies it and falls through to the push, where `neighbor_cmp`
+        // ranks it after every other score.
         let mut bar = f32::NEG_INFINITY;
         for i in 0..self.store.num_nodes() {
             let id = i as u32;

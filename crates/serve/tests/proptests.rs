@@ -27,8 +27,8 @@ fn clustered(n: usize, dim: usize, clusters: usize) -> NodeEmbeddings {
 }
 
 /// The bounded heap returns exactly `sort(candidates)[..k]` for any
-/// candidate stream, any k — including NaN scores, which total_cmp
-/// orders deterministically.
+/// candidate stream, any k (the NaN order is pinned by
+/// `nan_scores_rank_after_every_other_score`).
 #[test]
 fn top_k_matches_full_sort() {
     check(|rng| {

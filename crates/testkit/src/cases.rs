@@ -3,8 +3,8 @@
 //!
 //! | group   | cases                                   | tolerance      |
 //! |---------|-----------------------------------------|----------------|
-//! | kernels | dot, sqdist, gemm-tb                    | `Rel(1e-5)`    |
-//! | kernels | axpy, scale-add, gemm, gemm-ta, tb-acc  | `Bitwise`      |
+//! | kernels | dot, sqdist, gemm-tb (vs `_ref`)        | `Rel(1e-5)`    |
+//! | kernels | axpy, scale-add, gemm, gemm-ta, gemm-tb-dot, gemm-tb-acc (vs a `dot` loop) | `Bitwise` |
 //! | nn      | softmax-simplex                         | `Rel(1e-5)`    |
 //! | nn      | ws-feedforward, ws-translator-{f,b}     | `Bitwise`      |
 //! | nn      | loss-eval-into                          | `Bitwise`      |
@@ -51,6 +51,7 @@ pub fn registry() -> Vec<Box<dyn Conformance>> {
         Box::new(KernelGemm),
         Box::new(KernelGemmTa),
         Box::new(KernelGemmTb),
+        Box::new(KernelGemmTbDot),
         Box::new(KernelGemmTbAcc),
         Box::new(SoftmaxSimplex),
         Box::new(WsFeedForward),
@@ -293,6 +294,52 @@ impl Conformance for KernelGemmTb {
     }
 }
 
+/// `out[i·m + j] ← out[i·m + j] + dot(A row i, B row j)` (or `← dot`
+/// without `acc`): the per-element loop every `gemm_tb` output must equal
+/// bit for bit.
+fn gemm_tb_dot_loop(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (n, d, m): (usize, usize, usize),
+    acc: bool,
+) {
+    for i in 0..n {
+        for j in 0..m {
+            let s = kernels::dot(&a[i * d..(i + 1) * d], &b[j * d..(j + 1) * d]);
+            let o = &mut out[i * m + j];
+            *o = if acc { *o + s } else { s };
+        }
+    }
+}
+
+struct KernelGemmTbDot;
+impl Conformance for KernelGemmTbDot {
+    fn name(&self) -> &'static str {
+        "kernel-gemm-tb-dot"
+    }
+    fn tolerance(&self) -> Match {
+        // Four dots per pass, each in exactly `dot`'s order.
+        Match::Bitwise
+    }
+    fn fast(&self, ctx: &mut Ctx) {
+        let (n, d, m) = gemm_dims(ctx);
+        let a = random_vec(ctx, n * d);
+        let b = random_vec(ctx, m * d);
+        let mut out = vec![0.0f32; n * m];
+        kernels::gemm_tb(&a, &b, &mut out, n, d, m);
+        ctx.emit_all(&out);
+    }
+    fn reference(&self, ctx: &mut Ctx) {
+        let (n, d, m) = gemm_dims(ctx);
+        let a = random_vec(ctx, n * d);
+        let b = random_vec(ctx, m * d);
+        let mut out = vec![0.0f32; n * m];
+        gemm_tb_dot_loop(&a, &b, &mut out, (n, d, m), false);
+        ctx.emit_all(&out);
+    }
+}
+
 struct KernelGemmTbAcc;
 impl Conformance for KernelGemmTbAcc {
     fn name(&self) -> &'static str {
@@ -315,11 +362,7 @@ impl Conformance for KernelGemmTbAcc {
         let a = random_vec(ctx, n * d);
         let b = random_vec(ctx, m * d);
         let mut out = random_vec(ctx, n * m);
-        let mut tmp = vec![0.0f32; n * m];
-        kernels::gemm_tb(&a, &b, &mut tmp, n, d, m);
-        for (o, t) in out.iter_mut().zip(&tmp) {
-            *o += t;
-        }
+        gemm_tb_dot_loop(&a, &b, &mut out, (n, d, m), true);
         ctx.emit_all(&out);
     }
 }
