@@ -22,7 +22,7 @@ use transn::Variant;
 use transn_eval::{
     auc_for_embeddings_with, classification_scores, ClassifyProtocol, LinkPredSplit,
 };
-use transn_graph::{Determinism, NodeEmbeddings, Parallelism};
+use transn_graph::{Determinism, Fnv1a64, NodeEmbeddings, Parallelism};
 use transn_synth::{
     aminer_like, app_like, blog_like, commerce_like, AminerConfig, AppConfig, BlogConfig,
     CommerceConfig, Dataset,
@@ -367,15 +367,13 @@ json_object!(MatrixReport {
     rows
 });
 
-fn fnv1a64(data: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+/// FNV-1a64 over the table's little-endian f32 bytes.
+fn table_digest(data: &[f32]) -> u64 {
+    let mut h = Fnv1a64::new();
     for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        h.update(&v.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn scale_name(scale: ExperimentScale) -> &'static str {
@@ -416,7 +414,7 @@ pub fn run(cfg: &MatrixConfig) -> MatrixReport {
                         let emb: NodeEmbeddings =
                             m.embed_with(&ds, train_net, scale, cfg.seed, par);
                         let embed_secs = t0.elapsed().as_secs_f64();
-                        let digest = fnv1a64(emb.data());
+                        let digest = table_digest(emb.data());
                         if strict {
                             match group_digest {
                                 None => group_digest = Some(digest),

@@ -20,6 +20,7 @@
 
 use crate::builder::HetNetBuilder;
 use crate::error::GraphError;
+use crate::fnv::{fnv1a64, Fnv1a64};
 use crate::ids::{EdgeTypeId, NodeId, NodeTypeId};
 use crate::network::{Edge, HetNet};
 use crate::par::Parallelism;
@@ -381,16 +382,6 @@ impl DeltaOverlay {
     }
 }
 
-/// FNV-1a 64-bit (same parameters as the serving store's checksum).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Magic first line of the delta-log format.
 pub const DELTA_LOG_HEADER: &str = "# transn delta log v1";
 
@@ -456,14 +447,8 @@ fn parse_num<T: std::str::FromStr>(s: &str, line: usize, what: &str) -> Result<T
 pub fn read_delta_log<R: Read>(input: R) -> Result<Vec<LoggedBatch>, GraphError> {
     let reader = BufReader::new(input);
     let mut batches: Vec<LoggedBatch> = Vec::new();
-    let mut hashed = 0u64; // running FNV over content lines
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let update = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hashed = 0u64; // content lines folded into `hash`
+    let mut hash = Fnv1a64::new();
     let mut lineno = 0usize;
     let mut saw_checksum = false;
     for line in reader.lines() {
@@ -482,8 +467,8 @@ pub fn read_delta_log<R: Read>(input: R) -> Result<Vec<LoggedBatch>, GraphError>
                     msg: format!("expected {DELTA_LOG_HEADER:?} header, got {line:?}"),
                 });
             }
-            update(&mut h, line.as_bytes());
-            update(&mut h, b"\n");
+            hash.update(line.as_bytes());
+            hash.update(b"\n");
             hashed += 1;
             continue;
         }
@@ -501,11 +486,11 @@ pub fn read_delta_log<R: Read>(input: R) -> Result<Vec<LoggedBatch>, GraphError>
                         line: lineno,
                         msg: format!("invalid checksum hex: {:?}", fields[1]),
                     })?;
-                if stored != h {
+                if stored != hash.finish() {
                     return Err(GraphError::ChecksumMismatch {
                         line: lineno,
                         stored,
-                        computed: h,
+                        computed: hash.finish(),
                     });
                 }
                 saw_checksum = true;
@@ -585,8 +570,8 @@ pub fn read_delta_log<R: Read>(input: R) -> Result<Vec<LoggedBatch>, GraphError>
                 });
             }
         }
-        update(&mut h, line.as_bytes());
-        update(&mut h, b"\n");
+        hash.update(line.as_bytes());
+        hash.update(b"\n");
         hashed += 1;
     }
     if lineno == 0 {

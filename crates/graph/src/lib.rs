@@ -50,6 +50,7 @@ pub mod csr;
 pub mod delta;
 pub mod embedding;
 pub mod error;
+pub mod fnv;
 pub mod ids;
 pub mod io;
 pub mod labels;
@@ -69,6 +70,7 @@ pub use delta::{
 };
 pub use embedding::NodeEmbeddings;
 pub use error::GraphError;
+pub use fnv::{fnv1a64, Fnv1a64};
 pub use ids::{EdgeTypeId, NodeId, NodeTypeId};
 pub use io::{read_edge_list, read_labels, write_edge_list, write_labels};
 pub use labels::Labels;

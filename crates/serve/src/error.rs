@@ -3,13 +3,12 @@
 //! Every way a store file can be malformed maps to a distinct variant, so
 //! callers (and the fault-injection sweep) can assert on the *root cause*
 //! rather than pattern-matching error strings. A short, truncated, or
-//! corrupted file must surface here — never as a panic, and never as an
-//! out-of-bounds read of the mapping.
+//! corrupted file must surface here — never as a panic.
 
 /// Why a store file failed to load (or a query failed to validate).
 #[derive(Debug)]
 pub enum ServeError {
-    /// An operating-system I/O failure (open, read, map).
+    /// An operating-system I/O failure (open, read).
     Io(std::io::Error),
     /// The file is shorter than its own header claims.
     Truncated {

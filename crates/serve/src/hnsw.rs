@@ -125,10 +125,7 @@ impl HnswIndex {
             "order must be a permutation of 0..{n}: an id is out of range or repeated"
         );
         let dim = source.dim();
-        let mut data = Vec::with_capacity(n * dim);
-        for i in 0..n {
-            data.extend_from_slice(source.vector(i));
-        }
+        let data = source.rows().to_vec();
         let norms = match metric {
             Metric::Dot => Vec::new(),
             Metric::Cosine => (0..n)

@@ -15,12 +15,13 @@
 //! every thread count.
 
 use crate::store::EmbStore;
+use transn_graph::run_shards_build;
 use transn_nn::kernels;
-use transn_sgns::{run_shards, Parallelism};
+use transn_sgns::Parallelism;
 
 /// Read access to `len` vectors of dimension `dim` — the input both
-/// indexes are built over. Implemented by the mmap store and the in-memory
-/// embedding table.
+/// indexes are built over. Implemented by the loaded store and the
+/// in-memory embedding table.
 pub trait VectorSource: Sync {
     /// Number of vectors.
     fn len(&self) -> usize;
@@ -30,12 +31,13 @@ pub trait VectorSource: Sync {
     }
     /// Vector dimension.
     fn dim(&self) -> usize;
+    /// All vectors as one contiguous row-major `len × dim` matrix (the
+    /// input of the blocked-GEMM scoring path).
+    fn rows(&self) -> &[f32];
     /// The `i`-th vector.
-    fn vector(&self, i: usize) -> &[f32];
-    /// All vectors as one contiguous row-major matrix, when the layout
-    /// allows (enables the direct blocked-GEMM path).
-    fn contiguous(&self) -> Option<&[f32]> {
-        None
+    fn vector(&self, i: usize) -> &[f32] {
+        let d = self.dim();
+        &self.rows()[i * d..(i + 1) * d]
     }
 }
 
@@ -46,11 +48,8 @@ impl VectorSource for EmbStore {
     fn dim(&self) -> usize {
         EmbStore::dim(self)
     }
-    fn vector(&self, i: usize) -> &[f32] {
-        self.row(i)
-    }
-    fn contiguous(&self) -> Option<&[f32]> {
-        self.rows_contiguous()
+    fn rows(&self) -> &[f32] {
+        EmbStore::rows(self)
     }
 }
 
@@ -61,11 +60,8 @@ impl VectorSource for transn_graph::NodeEmbeddings {
     fn dim(&self) -> usize {
         transn_graph::NodeEmbeddings::dim(self)
     }
-    fn vector(&self, i: usize) -> &[f32] {
-        self.get(transn_graph::NodeId(i as u32))
-    }
-    fn contiguous(&self) -> Option<&[f32]> {
-        Some(self.data())
+    fn rows(&self) -> &[f32] {
+        self.data()
     }
 }
 
@@ -306,25 +302,17 @@ impl<S: VectorSource> EmbeddingIndex for BruteForceIndex<'_, S> {
             Metric::Dot => 0.0,
             Metric::Cosine => l2_norm(query),
         };
+        let data = self.source.rows();
         let mut top = TopK::new(k);
         let mut scores = vec![0.0f32; BLOCK_ROWS.min(n.max(1))];
-        let mut scratch: Vec<f32> = Vec::new();
         let mut start = 0usize;
         while start < n {
             let m = BLOCK_ROWS.min(n - start);
             // One GEMM per block: query (1×d) · blockᵀ (m×d) → scores
             // (1×m). Each element is one 8-lane dot — bit-identical to
             // scoring row by row.
-            if let Some(data) = self.source.contiguous() {
-                let block = &data[start * d..(start + m) * d];
-                kernels::gemm_tb(query, block, &mut scores[..m], 1, d, m);
-            } else {
-                scratch.clear();
-                for i in start..start + m {
-                    scratch.extend_from_slice(self.source.vector(i));
-                }
-                kernels::gemm_tb(query, &scratch, &mut scores[..m], 1, d, m);
-            }
+            let block = &data[start * d..(start + m) * d];
+            kernels::gemm_tb(query, block, &mut scores[..m], 1, d, m);
             for (off, &raw) in scores[..m].iter().enumerate() {
                 let id = (start + off) as u32;
                 if exclude == Some(id) {
@@ -382,13 +370,14 @@ pub fn brute_force_reference<S: VectorSource>(
     all
 }
 
-/// Answer a batch of queries, parallelized over PR 1's [`Parallelism`]
-/// model: queries are split into per-thread shards, each shard goes
-/// through the backend's [`EmbeddingIndex::top_k_batch`] engine, and the
-/// results are reassembled in query order. Results are identical at
-/// every thread count because each query's answer is independent of how
-/// the batch is blocked or sharded (the trait's bit-identity contract)
-/// and shard order is restored by [`run_shards`].
+/// Answer a batch of queries on `par.threads` workers: queries are split
+/// into one contiguous shard per worker, each shard goes through the
+/// backend's [`EmbeddingIndex::top_k_batch`] engine, and the results are
+/// reassembled in query order. Queries only read the index, so each
+/// answer is independent of how the batch is blocked or sharded (the
+/// trait's bit-identity contract): Strict and Hogwild both run the
+/// shards in parallel through [`run_shards_build`], and the results are
+/// identical at every thread count.
 pub fn batch_top_k<I: EmbeddingIndex + ?Sized>(
     index: &I,
     queries: &[&[f32]],
@@ -405,7 +394,7 @@ pub fn batch_top_k<I: EmbeddingIndex + ?Sized>(
     }
     let shards = par.threads.max(1).min(queries.len());
     let per = queries.len().div_ceil(shards);
-    let results = run_shards(shards, par, |s| {
+    let results = run_shards_build(shards, par, |s| {
         // A ragged tail can leave late shards empty: clamp both ends.
         let lo = (s * per).min(queries.len());
         let hi = ((s + 1) * per).min(queries.len());
@@ -447,8 +436,7 @@ mod tests {
 
     #[test]
     fn blocked_top_k_matches_naive_bitwise() {
-        // n crosses the 256-row block boundary; odd dim forces the
-        // copy-block scratch path on stores (contiguous here).
+        // n crosses the 256-row block boundary; odd dims included.
         for (n, dim) in [(5usize, 3usize), (300, 8), (517, 5)] {
             let emb = toy(n, dim);
             for metric in [Metric::Dot, Metric::Cosine] {
@@ -543,6 +531,35 @@ mod tests {
                 let out = batch_top_k(&index, &queries, 5, &[], par);
                 assert_eq!(out, serial, "threads {threads}");
             }
+        }
+    }
+
+    #[test]
+    fn batch_runs_on_every_requested_worker_in_both_modes() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        /// Records which threads answered.
+        struct Spy(Mutex<HashSet<ThreadId>>);
+        impl EmbeddingIndex for Spy {
+            fn top_k(&self, _: &[f32], _: usize, _: Option<u32>) -> Vec<Neighbor> {
+                self.0.lock().unwrap().insert(std::thread::current().id());
+                Vec::new()
+            }
+            fn dim(&self) -> usize {
+                1
+            }
+            fn len(&self) -> usize {
+                0
+            }
+        }
+        let q = [0.0f32];
+        let queries = vec![&q[..]; 16];
+        for par in [Parallelism::strict(4), Parallelism::hogwild(4)] {
+            let spy = Spy(Mutex::new(HashSet::new()));
+            batch_top_k(&spy, &queries, 1, &[], par);
+            assert_eq!(spy.0.lock().unwrap().len(), 4, "{par:?}");
         }
     }
 

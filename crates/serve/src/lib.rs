@@ -5,9 +5,11 @@
 //! This crate is that read path:
 //!
 //! - [`store`]: a versioned little-endian binary format ([`EmbStore`])
-//!   written once and loaded by `mmap` with **zero-copy** row access — no
-//!   parsing, no per-row allocation. Corrupt or truncated files surface as
-//!   typed [`ServeError`]s, exercised by the testkit's store faults.
+//!   written once and loaded by reading the file, verifying the checksum
+//!   over every byte and decoding each section into owned memory, so a
+//!   file rewritten or truncated under an open store cannot change it.
+//!   Corrupt or truncated files surface as typed [`ServeError`]s,
+//!   exercised by the testkit's store faults and a byte-mutation property.
 //! - [`index`]: the exact top-k backend ([`BruteForceIndex`]) — blocked
 //!   [`transn_nn::kernels::gemm_tb`] scoring plus a bounded heap —
 //!   bit-identical to its naive one-`dot`-per-row reference by

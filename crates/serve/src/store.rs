@@ -1,4 +1,5 @@
-//! The versioned binary embedding store: write once, `mmap` forever.
+//! The versioned binary embedding store: write once, then verify and load
+//! into owned memory.
 //!
 //! # Format (v1, all integers little-endian)
 //!
@@ -48,17 +49,23 @@
 //! reader that sees a v2 file fails cleanly on the version field, and v1
 //! files load byte-for-byte unchanged (pinned by the golden fixture).
 //!
-//! The 8-byte row stride means every row starts at an 8-byte boundary of
-//! the mapping, so on little-endian targets a row is readable as `&[f32]`
-//! **zero-copy** — no parsing, no allocation, no per-row work at load time.
-//! When `dim · 4` is already a multiple of 8 (every even `dim`) the rows
-//! are contiguous and the whole payload doubles as one `|V| × d` matrix
-//! for the blocked GEMM query path ([`EmbStore::rows_contiguous`]).
+//! The 8-byte stride keeps every on-disk row 8-byte aligned; the padding
+//! bytes are zero and covered by the checksum.
 //!
-//! Loading validates the header *before* trusting any field: length checks
-//! precede every read, so a truncated or hostile file produces a typed
-//! [`ServeError`] — never a panic and never an out-of-bounds access of the
-//! mapping.
+//! # Loading
+//!
+//! [`EmbStore::open`] is the one load path. It reads the file, checks
+//! both headers against its length, and verifies the checksum over every
+//! byte after the base header. Only then does it decode each section into
+//! an exactly sized owned buffer: the f32 rows as one contiguous `|V| × d`
+//! matrix without the row padding ([`EmbStore::rows`]), the type table,
+//! and a v2 store's scale table and i8 codes. No section is larger in
+//! memory than on disk, so no header can make it allocate more than the
+//! file holds. A file shorter than its headers require is
+//! [`ServeError::Truncated`] and a body that does not hash to the header's
+//! checksum is [`ServeError::ChecksumMismatch`] — a typed error, never a
+//! panic. The loaded store owns what it serves, so rewriting, truncating
+//! or replacing the file afterwards cannot change or fault an open store.
 //!
 //! Writers stream: [`EmbStore::write`] and [`EmbStore::write_quant`] share
 //! one serializer that makes two passes over the source table (pass 1
@@ -71,6 +78,10 @@ use std::io::Write;
 use std::path::Path;
 use transn_graph::{NodeEmbeddings, NodeId};
 use transn_nn::kernels::{quantize_row_i8, QuantParams};
+
+/// The store checksum (re-exported from `transn-graph`, whose delta log
+/// uses the same hash).
+pub use transn_graph::{fnv1a64, Fnv1a64};
 
 /// First 8 bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"TRNSEMB\0";
@@ -93,45 +104,6 @@ pub fn row_stride(dim: usize) -> usize {
 /// Round a byte offset up to the next 8-byte boundary.
 pub fn align8(off: u64) -> u64 {
     off.div_ceil(8) * 8
-}
-
-/// Incremental FNV-1a64 state, so writers can checksum a stream without
-/// buffering it.
-#[derive(Clone, Copy)]
-pub struct Fnv1a64(u64);
-
-impl Fnv1a64 {
-    /// Fresh state (the FNV-1a offset basis).
-    pub fn new() -> Fnv1a64 {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Fold more bytes into the state.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// FNV-1a64 over a byte stream (the workspace's fingerprint hash).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(bytes);
-    h.finish()
 }
 
 /// Which quantized payload a v2 store carries (the extension header's
@@ -277,11 +249,16 @@ impl StoreHeader {
             )));
         }
         let stride = row_stride(header.dim as usize) as u64;
-        let payload_len = header
+        // The largest layout this geometry allows (v2: per node an f32
+        // row, a type id, a scale entry and a code row no longer than the
+        // f32 row, plus two paddings) must fit in a u64, so no section
+        // offset computed from it can overflow.
+        header
             .count
-            .checked_mul(stride)
-            .ok_or_else(|| mismatch("count·stride overflows u64".into()))?;
-        let want_table_off = header.payload_off + payload_len;
+            .checked_mul(2 * stride + 4 + SCALE_ENTRY_LEN)
+            .and_then(|len| len.checked_add(PAYLOAD_OFF_V2 as u64 + 16))
+            .ok_or_else(|| mismatch("section layout overflows u64".into()))?;
+        let want_table_off = header.payload_off + header.count * stride;
         if header.type_table_off != want_table_off {
             return Err(mismatch(format!(
                 "type_table_off {} != payload_off + count·stride = {want_table_off}",
@@ -389,124 +366,24 @@ impl QuantExt {
     }
 }
 
-/// Read-only bytes backing a store: a private file mapping on Unix, a
-/// heap buffer elsewhere (and as fallback). The heap buffer is allocated
-/// as `u64`s so both backings give the 8-byte base alignment the row
-/// layout is designed around.
-enum Backing {
-    #[cfg(unix)]
-    Mmap {
-        ptr: *mut std::ffi::c_void,
-        len: usize,
-    },
-    Heap {
-        buf: Vec<u64>,
-        len: usize,
-    },
-}
-
-// SAFETY: the mapping is PROT_READ/MAP_PRIVATE and never mutated; sharing
-// immutable bytes across threads is sound.
-unsafe impl Send for Backing {}
-unsafe impl Sync for Backing {}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            // SAFETY: ptr/len come from a successful mmap of exactly `len`
-            // bytes that stays mapped until Drop.
-            Backing::Mmap { ptr, len } => unsafe {
-                std::slice::from_raw_parts(*ptr as *const u8, *len)
-            },
-            Backing::Heap { buf, len } => {
-                // SAFETY: `buf` owns at least `len` initialized bytes.
-                unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u8, *len) }
-            }
-        }
-    }
-}
-
-impl Drop for Backing {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let Backing::Mmap { ptr, len } = self {
-            // SAFETY: exactly one munmap for the one successful mmap.
-            unsafe {
-                sys::munmap(*ptr, *len);
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-}
-
-#[cfg(unix)]
-fn map_file(file: &std::fs::File, len: usize) -> Option<Backing> {
-    use std::os::unix::io::AsRawFd;
-    if len == 0 {
-        return None;
-    }
-    // SAFETY: fd is open for the duration of the call; a failed map
-    // returns MAP_FAILED which we reject, falling back to a heap read.
-    let ptr = unsafe {
-        sys::mmap(
-            std::ptr::null_mut(),
-            len,
-            sys::PROT_READ,
-            sys::MAP_PRIVATE,
-            file.as_raw_fd(),
-            0,
-        )
-    };
-    if ptr.is_null() || ptr as isize == -1 {
-        return None;
-    }
-    Some(Backing::Mmap { ptr, len })
-}
-
-fn read_heap(path: &Path, len: usize) -> Result<Backing, ServeError> {
-    let bytes = std::fs::read(path)?;
-    debug_assert_eq!(bytes.len(), len);
-    let mut buf = vec![0u64; len.div_ceil(8)];
-    // SAFETY: the u64 buffer spans at least `len` bytes.
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), buf.as_mut_ptr() as *mut u8, bytes.len());
-    }
-    Ok(Backing::Heap {
-        buf,
-        len: bytes.len(),
-    })
-}
-
-/// A loaded embedding store: validated header plus zero-copy row access
-/// into the backing bytes.
+/// A loaded embedding store: the validated headers and every section,
+/// decoded into owned memory by [`EmbStore::open`].
 pub struct EmbStore {
     header: StoreHeader,
     ext: Option<QuantExt>,
-    backing: Backing,
-    /// Rows decoded once at load time on big-endian targets, where the
-    /// on-disk LE payload cannot be viewed as native `f32` directly.
-    #[cfg(not(target_endian = "little"))]
-    decoded: Vec<f32>,
+    /// The f32 rows as one row-major `count × dim` matrix.
+    rows: Vec<f32>,
+    /// One node-type id per row; empty when the store has no type table.
+    types: Vec<u32>,
+    /// Per-row i8 dequantization affines (v2 only).
+    qparams: Vec<QuantParams>,
+    /// The i8 codes as one row-major `count × dim` matrix (v2 only).
+    codes: Vec<i8>,
+}
+
+/// The little-endian f32 at the start of `b`.
+fn le_f32(b: &[u8]) -> f32 {
+    f32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 impl EmbStore {
@@ -664,81 +541,79 @@ impl EmbStore {
         Self::write_quant(emb, types, kind, std::io::BufWriter::new(file))
     }
 
-    /// Load a store: map (or read) the file, validate the header against
-    /// the actual file length, and verify the checksum.
+    /// Load a store: read the file, check both headers against its
+    /// length, verify the checksum over every byte after the base header,
+    /// then decode each section into owned memory and drop the file bytes.
+    ///
+    /// Errors are typed: a file shorter than its headers require is
+    /// [`ServeError::Truncated`], a body that does not hash to the header's
+    /// checksum is [`ServeError::ChecksumMismatch`], and inconsistent
+    /// headers fail before any section is decoded.
     pub fn open(path: impl AsRef<Path>) -> Result<EmbStore, ServeError> {
-        let path = path.as_ref();
-        let file = std::fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < HEADER_LEN as u64 {
-            return Err(ServeError::Truncated {
-                expected: HEADER_LEN as u64,
-                actual: file_len,
-            });
-        }
-        let backing = {
-            #[cfg(unix)]
-            {
-                match map_file(&file, file_len as usize) {
-                    Some(b) => b,
-                    None => read_heap(path, file_len as usize)?,
-                }
-            }
-            #[cfg(not(unix))]
-            {
-                read_heap(path, file_len as usize)?
-            }
+        let bytes = std::fs::read(path)?;
+        let truncated = |expected: u64| ServeError::Truncated {
+            expected,
+            actual: bytes.len() as u64,
         };
-        drop(file);
-        let bytes = backing.bytes();
-        let header = StoreHeader::decode(bytes[..HEADER_LEN].try_into().unwrap())?;
+        let head = bytes
+            .get(..HEADER_LEN)
+            .and_then(|h| h.try_into().ok())
+            .ok_or_else(|| truncated(HEADER_LEN as u64))?;
+        let header = StoreHeader::decode(head)?;
         let ext = if header.version == VERSION_QUANT {
-            if file_len < PAYLOAD_OFF_V2 as u64 {
-                return Err(ServeError::Truncated {
-                    expected: PAYLOAD_OFF_V2 as u64,
-                    actual: file_len,
-                });
-            }
-            Some(QuantExt::decode(
-                bytes[HEADER_LEN..PAYLOAD_OFF_V2].try_into().unwrap(),
-                &header,
-            )?)
+            let ext = bytes
+                .get(HEADER_LEN..PAYLOAD_OFF_V2)
+                .and_then(|h| h.try_into().ok())
+                .ok_or_else(|| truncated(PAYLOAD_OFF_V2 as u64))?;
+            Some(QuantExt::decode(ext, &header)?)
         } else {
             None
         };
         let need = ext.map_or_else(|| header.file_len(), |e| e.file_len());
-        if need > file_len {
-            return Err(ServeError::Truncated {
-                expected: need,
-                actual: file_len,
-            });
+        if need > bytes.len() as u64 {
+            return Err(truncated(need));
         }
-        let body = &bytes[HEADER_LEN..need as usize];
-        let actual = fnv1a64(body);
+        // The checksum covers every byte after the base header.
+        let actual = fnv1a64(&bytes[HEADER_LEN..need as usize]);
         if actual != header.checksum {
             return Err(ServeError::ChecksumMismatch {
                 expected: header.checksum,
                 actual,
             });
         }
-        #[cfg(not(target_endian = "little"))]
-        let decoded = {
-            let stride = row_stride(header.dim as usize);
-            let mut rows = Vec::with_capacity(header.count as usize * header.dim as usize);
-            for n in 0..header.count as usize {
-                let at = header.payload_off as usize + n * stride;
-                for c in bytes[at..at + header.dim as usize * 4].chunks_exact(4) {
-                    rows.push(f32::from_le_bytes(c.try_into().unwrap()));
-                }
+        // The file holds every section, so each decoded section, no longer
+        // than its bytes on disk, is bounded by the file's size.
+        let (n, dim) = (header.count as usize, header.dim as usize);
+        let records =
+            |off: u64, stride: usize| bytes[off as usize..][..n * stride].chunks_exact(stride);
+        let mut rows = Vec::with_capacity(n * dim);
+        for rec in records(header.payload_off, row_stride(dim)) {
+            rows.extend(rec[..4 * dim].chunks_exact(4).map(le_f32));
+        }
+        let types = bytes[header.type_table_off as usize..header.file_len() as usize]
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        let (mut qparams, mut codes) = (Vec::new(), Vec::new());
+        if let Some(ext) = ext {
+            qparams = records(ext.scale_table_off, SCALE_ENTRY_LEN as usize)
+                .map(|rec| QuantParams {
+                    scale: le_f32(rec),
+                    zero: le_f32(&rec[4..]),
+                })
+                .collect();
+            codes.reserve_exact(n * dim);
+            for rec in records(ext.qrows_off, ext.kind.qrow_stride(dim)) {
+                codes.extend(rec[..dim].iter().map(|&b| b as i8));
             }
-            rows
-        };
+        }
         Ok(EmbStore {
             header,
             ext,
-            backing,
-            #[cfg(not(target_endian = "little"))]
-            decoded,
+            rows,
+            types,
+            qparams,
+            codes,
         })
     }
 
@@ -757,53 +632,20 @@ impl EmbStore {
         self.header.dim as usize
     }
 
-    /// The embedding of node `n`, zero-copy from the mapping.
+    /// The embedding of node `n`.
     ///
     /// # Panics
     /// Panics if `n >= num_nodes()`.
     #[inline]
     pub fn row(&self, n: usize) -> &[f32] {
         assert!(n < self.num_nodes(), "row {n} out of range");
-        #[cfg(target_endian = "little")]
-        {
-            let stride = row_stride(self.dim());
-            let at = self.header.payload_off as usize + n * stride;
-            let bytes = &self.backing.bytes()[at..at + self.dim() * 4];
-            // SAFETY: the slice is 8-byte aligned (8-aligned base + 8-byte
-            // aligned payload_off + 8-byte stride), in-bounds (validated at
-            // open), and on little-endian targets the LE payload *is*
-            // native f32.
-            unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f32, self.dim()) }
-        }
-        #[cfg(not(target_endian = "little"))]
-        {
-            &self.decoded[n * self.dim()..(n + 1) * self.dim()]
-        }
+        &self.rows[n * self.dim()..(n + 1) * self.dim()]
     }
 
-    /// The whole payload as one contiguous `|V| × d` matrix, when the row
-    /// stride carries no padding (every even `dim`). This is the input the
-    /// blocked GEMM query path consumes directly.
-    pub fn rows_contiguous(&self) -> Option<&[f32]> {
-        if self.dim() * 4 != row_stride(self.dim()) || self.num_nodes() == 0 {
-            return None;
-        }
-        #[cfg(target_endian = "little")]
-        {
-            let at = self.header.payload_off as usize;
-            let bytes = &self.backing.bytes()[at..at + self.num_nodes() * self.dim() * 4];
-            // SAFETY: same alignment/bounds/endianness argument as `row`.
-            Some(unsafe {
-                std::slice::from_raw_parts(
-                    bytes.as_ptr() as *const f32,
-                    self.num_nodes() * self.dim(),
-                )
-            })
-        }
-        #[cfg(not(target_endian = "little"))]
-        {
-            Some(&self.decoded)
-        }
+    /// Every row as one contiguous row-major `|V| × d` matrix, the input
+    /// the blocked GEMM query path consumes directly.
+    pub fn rows(&self) -> &[f32] {
+        &self.rows
     }
 
     /// Which quantized payload this store carries (`None` for v1).
@@ -811,19 +653,15 @@ impl EmbStore {
         self.ext.map(|e| e.kind)
     }
 
-    /// The i8 code row of node `n`, zero-copy from the mapping.
+    /// The i8 code row of node `n`.
     ///
     /// # Panics
     /// Panics if the store carries no i8 section or `n` is out of range.
     #[inline]
     pub fn qrow_i8(&self, n: usize) -> &[i8] {
-        let ext = self.ext.expect("store carries no i8 section");
+        assert!(self.ext.is_some(), "store carries no i8 section");
         assert!(n < self.num_nodes(), "row {n} out of range");
-        let at = ext.qrows_off as usize + n * ext.kind.qrow_stride(self.dim());
-        let bytes = &self.backing.bytes()[at..at + self.dim()];
-        // SAFETY: i8 and u8 share layout and i8 has no endianness; bounds
-        // were validated at open.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const i8, self.dim()) }
+        &self.codes[n * self.dim()..(n + 1) * self.dim()]
     }
 
     /// The `(scale, zero)` dequantization affine of node `n`'s i8 row.
@@ -832,43 +670,31 @@ impl EmbStore {
     /// Panics if the store carries no i8 section or `n` is out of range.
     #[inline]
     pub fn qparams(&self, n: usize) -> QuantParams {
-        let ext = self.ext.expect("store carries no i8 section");
+        assert!(self.ext.is_some(), "store carries no i8 section");
         assert!(n < self.num_nodes(), "row {n} out of range");
-        let at = ext.scale_table_off as usize + 8 * n;
-        let bytes = self.backing.bytes();
-        QuantParams {
-            scale: f32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()),
-            zero: f32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()),
-        }
+        self.qparams[n]
     }
 
     /// Bytes the quantized scan path touches per query pass: the code
-    /// rows plus any scale table. For a v1 store this is the f32 payload
+    /// rows plus the scale table. For a v1 store this is the f32 rows
     /// (what the exact brute path streams).
     pub fn scan_bytes(&self) -> usize {
         match self.ext {
-            Some(e) => (e.scale_table_len + e.qrows_len) as usize,
-            None => self.num_nodes() * row_stride(self.dim()),
+            Some(_) => {
+                std::mem::size_of_val(&self.codes[..]) + std::mem::size_of_val(&self.qparams[..])
+            }
+            None => std::mem::size_of_val(&self.rows[..]),
         }
     }
 
     /// The type id of node `n`, if the store carries a type table.
     pub fn node_type(&self, n: usize) -> Option<u32> {
-        if self.header.type_table_len == 0 || n >= self.num_nodes() {
-            return None;
-        }
-        let at = self.header.type_table_off as usize + 4 * n;
-        let bytes = self.backing.bytes();
-        Some(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()))
+        self.types.get(n).copied()
     }
 
     /// Copy the store back into an owned [`NodeEmbeddings`] table.
     pub fn to_embeddings(&self) -> NodeEmbeddings {
-        let mut data = Vec::with_capacity(self.num_nodes() * self.dim());
-        for n in 0..self.num_nodes() {
-            data.extend_from_slice(self.row(n));
-        }
-        NodeEmbeddings::from_flat(self.num_nodes(), self.dim(), data)
+        NodeEmbeddings::from_flat(self.num_nodes(), self.dim(), self.rows.clone())
     }
 }
 
@@ -912,8 +738,8 @@ mod tests {
                 assert_eq!(store.node_type(n), Some(ty));
             }
             assert_eq!(store.to_embeddings(), emb);
-            // Contiguity only without row padding.
-            assert_eq!(store.rows_contiguous().is_some(), dim % 2 == 0);
+            // Rows are contiguous at every dim: the row padding stays on disk.
+            assert_eq!(store.rows(), emb.data());
             std::fs::remove_file(&path).ok();
         }
     }
@@ -973,6 +799,53 @@ mod tests {
                 }
                 other => panic!("byte {at}: expected DimCountMismatch, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn header_decode_rejects_a_layout_that_overflows_u64() {
+        // count·stride fits in a u64 here, but the offsets after it do not.
+        for count in [u64::MAX / 8, u64::MAX / 16] {
+            let mut h = [0u8; HEADER_LEN];
+            h[..8].copy_from_slice(&MAGIC);
+            h[8..12].copy_from_slice(&VERSION_QUANT.to_le_bytes());
+            h[12..16].copy_from_slice(&1u32.to_le_bytes());
+            h[16..24].copy_from_slice(&count.to_le_bytes());
+            h[24..32].copy_from_slice(&(PAYLOAD_OFF_V2 as u64).to_le_bytes());
+            h[32..40].copy_from_slice(
+                &(PAYLOAD_OFF_V2 as u64)
+                    .wrapping_add(8 * count)
+                    .to_le_bytes(),
+            );
+            match StoreHeader::decode(&h) {
+                Err(ServeError::DimCountMismatch { detail, .. }) => {
+                    assert!(detail.contains("overflows"), "{detail}")
+                }
+                other => panic!("count {count}: expected DimCountMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn empty_store_with_the_largest_dim_opens_empty() {
+        // An empty store's checksummed body does not depend on `dim` (v1:
+        // nothing; v2: the extension header), so this header is valid.
+        for quant in [false, true] {
+            let mut bytes = Vec::new();
+            let empty = NodeEmbeddings::from_flat(0, 1, Vec::new());
+            if quant {
+                EmbStore::write_quant(&empty, None, QuantKind::I8, &mut bytes).unwrap();
+            } else {
+                EmbStore::write(&empty, None, &mut bytes).unwrap();
+            }
+            bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+            let path = temp(&format!("empty-max-dim-{quant}"));
+            std::fs::write(&path, &bytes).unwrap();
+            let store = EmbStore::open(&path).unwrap();
+            assert_eq!((store.num_nodes(), store.dim()), (0, u32::MAX as usize));
+            assert!(store.rows().is_empty());
+            assert_eq!(store.quant_kind().is_some(), quant);
+            std::fs::remove_file(&path).ok();
         }
     }
 

@@ -173,7 +173,7 @@ impl SgnsModel {
     /// `cfg.parallelism` decides how walks are applied: Strict (or one
     /// thread) applies them serially in corpus order, updating the tables
     /// in place, so fixed-seed runs are bit-identical at any thread count;
-    /// Hogwild trains `w % num_shards` shards concurrently through
+    /// Hogwild trains contiguous shards of the walks concurrently through
     /// lock-free [`RacyTable`] views. Hold `ws` across epochs: a warmed
     /// sequential epoch performs no heap allocation.
     pub fn train_corpus(

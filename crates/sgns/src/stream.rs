@@ -16,8 +16,8 @@
 //!
 //! Under Strict determinism the result is therefore bit-identical for any
 //! episode size, any `episodes_in_flight`, and any thread count. Hogwild
-//! execution shards each episode's walks (`w % num_shards`) with the same
-//! per-walk seeds and lr positions — identical *work*, racy update
+//! execution cuts each episode's walks into contiguous shards with the
+//! same per-walk seeds and lr positions — identical *work*, racy update
 //! interleaving. [`SgnsModel::train_corpus`] is the same schedule over one
 //! resident corpus.
 //!
@@ -37,9 +37,11 @@ use std::ops::Range;
 use transn_rng::Rng;
 use transn_walks::{plan_episodes_into, EpisodeBuffer, WalkCorpus};
 
-/// Fixed logical shard count for Hogwild execution: walk `w` of an episode
-/// belongs to shard `w % num_shards`, `num_shards = min(LOGICAL_SHARDS,
-/// walks)`. Sequential execution ignores it.
+/// Fixed logical shard count for Hogwild execution: of an episode's `n`
+/// walks, shard `s` owns the contiguous block `[s·n/S, (s+1)·n/S)`, with
+/// `S = min(LOGICAL_SHARDS, n)`. A worker trains its shards `t, t + T, …`
+/// in order, so it meets its walks in corpus order and its learning rate
+/// decays once over the episode. Sequential execution ignores it.
 const LOGICAL_SHARDS: usize = 64;
 
 /// Per-walk seed mixing constant (2⁶⁴/φ, the same splitmix-style odd
@@ -198,8 +200,8 @@ fn rebuild_noise(noise: &mut Option<NoiseTable>, acc: &NoiseAccumulator, ws: &mu
 ///
 /// Sequential execution ([`crate::Parallelism::is_sequential`]) applies
 /// walks in global corpus order — the episode-size-invariant schedule —
-/// updating the model's tables in place. Hogwild shards the episode's
-/// walks (`w % num_shards`) over the configured workers, sharing the
+/// updating the model's tables in place. Hogwild trains contiguous shards
+/// of the episode's walks on the configured workers, sharing the
 /// tables through [`RacyTable`] views; per-walk seeds and lr positions are
 /// unchanged, so only update interleaving differs.
 #[allow(clippy::too_many_arguments)]
@@ -254,12 +256,15 @@ pub(crate) fn train_episode_stream(
         acc
     } else {
         let (input, output) = (RacyTable::new(input), RacyTable::new(output));
+        let n = corpus.len();
         let per_shard = run_shards(num_shards, cfg.parallelism, |s| {
             let (mut input, mut output) = (&input, &output);
             let mut scratch = vec![0.0f32; 3 * dim];
             let mut acc = (0.0f64, 0u64);
-            let mut w = s;
-            while w < corpus.len() {
+            // As in the sequential branch, `w` indexes the corpus, the
+            // pair-start table and the global walk counter in lockstep.
+            #[allow(clippy::needless_range_loop)]
+            for w in s * n / num_shards..(s + 1) * n / num_shards {
                 let (l, d) = train_walk_stream(
                     &mut input,
                     &mut output,
@@ -274,7 +279,6 @@ pub(crate) fn train_episode_stream(
                 );
                 acc.0 += l;
                 acc.1 += d;
-                w += num_shards;
             }
             acc
         });
@@ -527,6 +531,43 @@ mod tests {
                 "episode_walks={episode_walks} in_flight={in_flight} threads={threads}"
             );
         }
+    }
+
+    /// Hogwild workers meet their walks in corpus order, so each sees the
+    /// learning rate decay once and a first pass lands within 1.1× of
+    /// Strict's loss.
+    #[test]
+    fn hogwild_first_pass_loss_tracks_strict() {
+        // 2,000 walks of 20 nodes, each inside one of 20 communities of
+        // 10 nodes: structure the model can learn within one pass.
+        let (n, per) = (200u32, 10u32);
+        let mut rng = Rng::seed_from_u64(9);
+        let mut corpus = WalkCorpus::new();
+        for _ in 0..2000 {
+            let c = rng.random_range(0..n / per) * per;
+            corpus.push_with(|buf| {
+                for _ in 0..20 {
+                    buf.push(c + rng.random_range(0..per));
+                }
+            });
+        }
+        let noise = NoiseTable::from_frequencies(&corpus.node_frequencies(n as usize));
+        let first_pass = |parallelism| {
+            let cfg = SgnsConfig {
+                dim: 16,
+                seed: 3,
+                parallelism,
+                ..Default::default()
+            };
+            let mut model = SgnsModel::new(n as usize, cfg.dim, &mut Rng::seed_from_u64(5));
+            model.train_corpus(&corpus, &noise, &cfg, &mut TrainScratch::default())
+        };
+        let strict = first_pass(Parallelism::strict(2));
+        let hogwild = first_pass(Parallelism::hogwild(2));
+        assert!(
+            hogwild < 1.1 * strict,
+            "Hogwild(2) first-pass loss {hogwild} vs Strict {strict}"
+        );
     }
 
     #[test]

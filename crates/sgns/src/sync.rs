@@ -11,7 +11,7 @@
 //! Every walk draws its noise samples from its own RNG, seeded by its
 //! global corpus index ([`crate::stream`]), so the work does not depend on
 //! the thread count. [`Determinism::Hogwild`] trains a fixed number of
-//! logical shards (shard `s` owns walks `s`, `s + num_shards`, …)
+//! logical shards (shard `s` owns the `s`-th contiguous block of walks)
 //! concurrently with lock-free [`RacyTable`] updates
 //! (bit-nondeterministic for `threads > 1`); [`Determinism::Strict`]
 //! applies walks serially in corpus order, so a fixed seed gives

@@ -1,4 +1,4 @@
-//! Conformance cases for the serving layer (DESIGN.md §12, §15): the mmap
+//! Conformance cases for the serving layer (DESIGN.md §12, §15): the
 //! store's write→load roundtrip, the blocked brute-force index against its
 //! naive reference, the HNSW index against brute force, thread-count
 //! invariance of batched queries, link scoring against a from-scratch
@@ -36,8 +36,8 @@ pub(crate) fn cases() -> Vec<Box<dyn Conformance>> {
     ]
 }
 
-/// A random embedding table: irregular values, odd dim at scale 0 to
-/// exercise row padding, even dims later for the contiguous GEMM path.
+/// A random embedding table: irregular values; odd dims exercise the
+/// on-disk row padding.
 fn random_table(ctx: &mut Ctx, n: usize, dim: usize) -> NodeEmbeddings {
     let data: Vec<f32> = (0..n * dim)
         .map(|_| ctx.rng().random_range(-1.0..1.0f32))
@@ -60,7 +60,7 @@ fn emit_neighbors(ctx: &mut Ctx, results: &[Neighbor]) {
 }
 
 /// Write→load roundtrip: a table serialized to the v1 format and loaded
-/// back (mmap or heap fallback) must reproduce every row and type id
+/// back must reproduce every row and type id
 /// bit-for-bit. The reference emits the in-memory table directly.
 struct StoreRoundtrip;
 impl Conformance for StoreRoundtrip {

@@ -1,5 +1,5 @@
 //! Cross-crate integration of the serving layer (DESIGN.md §12): train a
-//! small TransN model, persist the table through the mmap store, index it,
+//! small TransN model, persist the table through the binary store, index it,
 //! and feed ANN neighbor lists into the evaluation fast paths.
 
 use transn::{TransN, TransNConfig};
@@ -40,7 +40,7 @@ fn train_store_query_evaluate_pipeline() {
         assert_eq!(store.row(i), emb.get(NodeId(i as u32)), "row {i} drifted");
     }
 
-    // Index the mmap-backed store directly; spot-check HNSW against brute
+    // Index the loaded store directly; spot-check HNSW against brute
     // force on a handful of queries.
     let brute = BruteForceIndex::new(&store, Metric::Cosine);
     let hnsw = HnswIndex::build(&store, Metric::Cosine, HnswConfig::default());
